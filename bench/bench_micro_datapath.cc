@@ -141,6 +141,32 @@ BM_DramChannelTick(benchmark::State &state)
 BENCHMARK(BM_DramChannelTick);
 
 void
+BM_DramChannelTickFull(benchmark::State &state)
+{
+    // The saturated regime of memory-bound runs: the buffer is topped
+    // up to memBufEntries before every tick, with one prefetch in four
+    // and blocks spread over many rows of both banks.
+    SimConfig cfg;
+    DramChannel ch(cfg, 0);
+    std::vector<MemRequest> done;
+    Cycle now = 0;
+    std::uint64_t i = 0;
+    for (auto _ : state) {
+        while (!ch.bufferFull()) {
+            ch.insert(MemRequest::make(
+                (mix64(i) % 65536) * blockBytes * cfg.dramChannels,
+                i % 4 ? ReqType::DemandLoad : ReqType::HwPrefetch, 0, now));
+            ++i;
+        }
+        done.clear();
+        ch.tick(now, done);
+        benchmark::DoNotOptimize(done.data());
+        ++now;
+    }
+}
+BENCHMARK(BM_DramChannelTickFull);
+
+void
 BM_GpuSimulationThroughput(benchmark::State &state)
 {
     // Cycles simulated per second on a small but realistic machine.

@@ -135,7 +135,6 @@ ParallelExecutor::workerLoop(unsigned self)
                 obs::HostScope hostTask(obs::HostPhase::RunTask);
                 task();
             }
-            executed_.fetch_add(1);
             // One beat per finished task: the watchdog treats a
             // draining executor as live.
             obs::FlightRecorder::beat();

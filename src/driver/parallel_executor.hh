@@ -26,6 +26,7 @@
 #ifndef MTP_DRIVER_PARALLEL_EXECUTOR_HH
 #define MTP_DRIVER_PARALLEL_EXECUTOR_HH
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -72,7 +73,11 @@ class ParallelExecutor
      */
     static unsigned budgetedThreads(unsigned jobs, unsigned shards);
 
-    /** Tasks executed so far (for tests / reporting). */
+    /**
+     * Tasks executed so far (for tests / reporting). A task is counted
+     * before its future becomes ready, so a caller that has seen every
+     * result sees every task counted.
+     */
     std::uint64_t executed() const { return executed_.load(); }
 
     /** Tasks stolen from another worker's deque (for tests). */
@@ -89,14 +94,25 @@ class ParallelExecutor
     {
         using R = std::invoke_result_t<F>;
         // packaged_task is move-only; std::function needs copyable.
+        // The count runs inside the task, ahead of the future's value.
         auto task = std::make_shared<std::packaged_task<R()>>(
-            std::forward<F>(fn));
+            [this, fn = std::forward<F>(fn)]() mutable -> R {
+                CountOnExit counted{executed_};
+                return fn();
+            });
         std::future<R> fut = task->get_future();
         enqueue([task]() { (*task)(); });
         return fut;
     }
 
   private:
+    /** Counts a task when its body returns or throws. */
+    struct CountOnExit
+    {
+        std::atomic<std::uint64_t> &executed;
+        ~CountOnExit() { executed.fetch_add(1); }
+    };
+
     /** One worker's deque; owner pops the front, thieves the back. */
     struct Queue
     {

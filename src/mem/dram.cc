@@ -23,18 +23,28 @@ DramChannel::DramChannel(const SimConfig &cfg, unsigned channelId)
       channels_(cfg.dramChannels),
       numBanks_(cfg.dramBanks),
       blocksPerRow_(cfg.dramRowBytes / blockBytes),
-      bufEntries_(cfg.memBufEntries),
       demandPriority_(cfg.demandPriority),
       tCl_(toCoreCycles(cfg.dramTCL, cfg.memClockNum, cfg.memClockDen)),
       tRcd_(toCoreCycles(cfg.dramTRCD, cfg.memClockNum, cfg.memClockDen)),
       tRp_(toCoreCycles(cfg.dramTRP, cfg.memClockNum, cfg.memClockDen)),
       burst_(blockBytes / cfg.dramBusBytesPerCycle),
       extraLatency_(cfg.memLatencyExtra),
+      slots_(cfg.memBufEntries),
+      lists_(cfg.dramBanks * 2),
       banks_(cfg.dramBanks),
       bankPending_(cfg.dramBanks, 0)
 {
     MTP_ASSERT(blocksPerRow_ > 0, "row smaller than a block");
     MTP_ASSERT(burst_ > 0, "bus wider than a block");
+    freeSlots_.reserve(slots_.size());
+    for (int s = static_cast<int>(slots_.size()) - 1; s >= 0; --s)
+        freeSlots_.push_back(s);
+    // At most one cell per buffered request keeps the load <= 1/2.
+    unsigned bits = 2;
+    while ((std::size_t{1} << bits) < 2 * slots_.size())
+        ++bits;
+    index_.resize(std::size_t{1} << bits);
+    indexShift_ = 64 - bits;
 }
 
 DramCoord
@@ -49,39 +59,143 @@ DramChannel::mapAddr(Addr addr) const
             global_row / numBanks_};
 }
 
+std::size_t
+DramChannel::homeCell(Addr addr) const
+{
+    // Fibonacci hashing of the block index: a channel's blocks are
+    // strided by the channel count, which the multiply scatters.
+    return (blockIndex(addr) * 0x9e3779b97f4a7c15ULL) >> indexShift_;
+}
+
+std::size_t
+DramChannel::findCell(Addr addr) const
+{
+    std::size_t mask = index_.size() - 1;
+    std::size_t i = homeCell(addr);
+    while (!index_[i].empty() && index_[i].addr != addr)
+        i = (i + 1) & mask;
+    return i;
+}
+
+void
+DramChannel::unindex(Addr addr, bool store)
+{
+    std::size_t i = findCell(addr);
+    AddrCell &cell = index_[i];
+    (store ? cell.store : cell.read) = noSlot;
+    if (!cell.empty())
+        return;
+    // Backward-shift deletion: pull later cells of the probe run into
+    // the hole unless that would move one before its home cell.
+    std::size_t mask = index_.size() - 1;
+    for (std::size_t j = (i + 1) & mask; !index_[j].empty();
+         j = (j + 1) & mask) {
+        if (((j - homeCell(index_[j].addr)) & mask) >= ((j - i) & mask)) {
+            index_[i] = index_[j];
+            i = j;
+        }
+    }
+    index_[i] = AddrCell{};
+}
+
+void
+DramChannel::link(int s)
+{
+    Slot &slot = slots_[s];
+    ClassList &l = classList(slot);
+    // New requests append; only a promoted one walks back to its place.
+    int after = l.tail;
+    while (after != noSlot && slots_[after].seq > slot.seq)
+        after = slots_[after].prev;
+    slot.prev = after;
+    slot.next = after == noSlot ? l.head : slots_[after].next;
+    (slot.prev == noSlot ? l.head : slots_[slot.prev].next) = s;
+    (slot.next == noSlot ? l.tail : slots_[slot.next].prev) = s;
+    if (slot.row == banks_[slot.bank].openRow &&
+        (l.hit == noSlot || slots_[l.hit].seq > slot.seq))
+        l.hit = s;
+}
+
+void
+DramChannel::unlink(int s)
+{
+    Slot &slot = slots_[s];
+    ClassList &l = classList(slot);
+    if (l.hit == s) {
+        int h = slot.next;
+        while (h != noSlot && slots_[h].row != slot.row)
+            h = slots_[h].next;
+        l.hit = h;
+    }
+    (slot.prev == noSlot ? l.head : slots_[slot.prev].next) = slot.next;
+    (slot.next == noSlot ? l.tail : slots_[slot.next].prev) = slot.prev;
+}
+
+void
+DramChannel::refreshHits(unsigned bank)
+{
+    std::uint64_t row = banks_[bank].openRow;
+    for (unsigned cls = 0; cls < 2; ++cls) {
+        ClassList &l = lists_[bank * 2 + cls];
+        int h = l.head;
+        while (h != noSlot && slots_[h].row != row)
+            h = slots_[h].next;
+        l.hit = h;
+    }
+}
+
+void
+DramChannel::promote(int s)
+{
+    unlink(s);
+    slots_[s].cls = demandCls;
+    link(s);
+}
+
 bool
 DramChannel::insert(MemRequest &&req)
 {
     ++stateVersion_;
-    if (bufferedByAddr_.count(req.addr)) {
-        for (auto &queued : buffer_) {
-            if (queued.addr == req.addr &&
-                MemRequest::mergeable(queued.type, req.type)) {
-                queued.mergeFrom(std::move(req));
-                ++counters_.interCoreMerges;
-                return true;
-            }
-        }
+    bool store = req.type == ReqType::DemandStore;
+    AddrCell &cell = index_[findCell(req.addr)];
+    int &mate = store ? cell.store : cell.read;
+    if (mate != noSlot) {
+        Slot &queued = slots_[mate];
+        queued.req.mergeFrom(std::move(req));
+        ++counters_.interCoreMerges;
+        if (queued.cls == prefetchCls && !isPrefetch(queued.req.type))
+            promote(mate);
+        return true;
     }
     MTP_ASSERT(!bufferFull(), "insert() into a full DRAM request buffer");
-    ++bufferedByAddr_[req.addr];
-    ++bankPending_[mapAddr(req.addr).bank];
-    buffer_.push_back(std::move(req));
+    int s = freeSlots_.back();
+    freeSlots_.pop_back();
+    cell.addr = req.addr;
+    mate = s;
+
+    Slot &slot = slots_[s];
+    DramCoord c = mapAddr(req.addr);
+    slot.bank = c.bank;
+    slot.row = c.row;
+    slot.cls = demandPriority_ && isPrefetch(req.type) ? prefetchCls
+                                                       : demandCls;
+    slot.seq = nextSeq_++;
+    slot.req = std::move(req);
+    ++bankPending_[c.bank];
+    link(s);
     return false;
 }
 
 bool
 DramChannel::upgradeToDemand(Addr addr)
 {
-    if (!bufferedByAddr_.count(addr))
+    int s = index_[findCell(addr)].read;
+    if (s == noSlot || !isPrefetch(slots_[s].req.type))
         return false;
-    for (auto &req : buffer_) {
-        if (req.addr == addr && isPrefetch(req.type)) {
-            req.type = ReqType::DemandLoad;
-            return true;
-        }
-    }
-    return false;
+    slots_[s].req.type = ReqType::DemandLoad;
+    if (slots_[s].cls == prefetchCls)
+        promote(s);
+    return true;
 }
 
 Cycle
@@ -103,10 +217,11 @@ DramChannel::nextEventAt(Cycle now) const
     Cycle scan = invalidCycle;
     for (const auto &svc : inService_)
         scan = std::min(scan, svc.doneAt);
-    for (const auto &req : buffer_)
-        scan = std::min(scan,
-                        std::max(now,
-                                 banks_[mapAddr(req.addr).bank].busyUntil));
+    for (const ClassList &l : lists_)
+        for (int s = l.head; s != noSlot; s = slots_[s].next)
+            scan = std::min(
+                scan, std::max(now, banks_[mapAddr(slots_[s].req.addr).bank]
+                                        .busyUntil));
     MTP_ASSERT(std::max(e, now) == std::max(scan, now),
                "per-bank event bound disagrees with exhaustive scan");
 #endif
@@ -125,76 +240,125 @@ DramChannel::busyBanks(Cycle now) const
 int
 DramChannel::pickRequest(Cycle now) const
 {
-    // FR-FCFS with demand priority: walk the buffer oldest-first and
-    // remember, per priority class, the first row-hit and the first
-    // schedulable request. Demand row-hit > demand > prefetch row-hit >
-    // prefetch (Table II: demand has higher priority than prefetch).
-    int best_hit[2] = {-1, -1};  // [0]: demand, [1]: prefetch
-    int best_any[2] = {-1, -1};
-    for (int i = 0; i < static_cast<int>(buffer_.size()); ++i) {
-        const MemRequest &req = buffer_[i];
+    // FR-FCFS with demand priority over the ready banks only: per
+    // class, the oldest row-hit and the oldest request are the oldest
+    // of the per-bank list heads. Demand row-hit > demand > prefetch
+    // row-hit > prefetch (Table II: demand has higher priority than
+    // prefetch).
+    int best_hit[2] = {noSlot, noSlot}; // [demandCls], [prefetchCls]
+    int best_any[2] = {noSlot, noSlot};
+    auto older = [this](int a, int b) {
+        return a != noSlot && (b == noSlot || slots_[a].seq < slots_[b].seq);
+    };
+    for (unsigned b = 0; b < numBanks_; ++b) {
+        if (bankPending_[b] == 0 || banks_[b].busyUntil > now)
+            continue;
+        for (unsigned cls = 0; cls < 2; ++cls) {
+            const ClassList &l = lists_[b * 2 + cls];
+            if (older(l.hit, best_hit[cls]))
+                best_hit[cls] = l.hit;
+            if (older(l.head, best_any[cls]))
+                best_any[cls] = l.head;
+        }
+    }
+    for (unsigned cls = 0; cls < 2; ++cls) {
+        if (best_hit[cls] != noSlot)
+            return best_hit[cls];
+        if (best_any[cls] != noSlot)
+            return best_any[cls];
+    }
+    return noSlot;
+}
+
+#if MTP_SLOW_CHECKS
+int
+DramChannel::pickRequestScan(Cycle now) const
+{
+    // The buffer oldest-first, rebuilt from the per-bank lists; every
+    // key is recomputed from the request rather than read from a slot.
+    std::vector<int> order;
+    unsigned pending = 0;
+    for (const ClassList &l : lists_)
+        for (int s = l.head; s != noSlot; s = slots_[s].next)
+            order.push_back(s);
+    std::sort(order.begin(), order.end(),
+              [this](int a, int b) { return slots_[a].seq < slots_[b].seq; });
+    MTP_ASSERT(order.size() == bufferOccupancy(),
+               "per-bank lists lost or duplicated a buffered request");
+    for (unsigned pend : bankPending_)
+        pending += pend;
+    MTP_ASSERT(pending == order.size(), "bank pending counts drifted");
+
+    int best_hit[2] = {noSlot, noSlot};
+    int best_any[2] = {noSlot, noSlot};
+    for (int s : order) {
+        const MemRequest &req = slots_[s].req;
         DramCoord c = mapAddr(req.addr);
         const Bank &bank = banks_[c.bank];
         if (bank.busyUntil > now)
             continue;
         int cls = (demandPriority_ && isPrefetch(req.type)) ? 1 : 0;
-        if (best_any[cls] < 0)
-            best_any[cls] = i;
-        if (best_hit[cls] < 0 && bank.openRow == c.row)
-            best_hit[cls] = i;
+        if (best_any[cls] == noSlot)
+            best_any[cls] = s;
+        if (best_hit[cls] == noSlot && bank.openRow == c.row)
+            best_hit[cls] = s;
     }
     for (int cls = 0; cls < 2; ++cls) {
-        if (best_hit[cls] >= 0)
+        if (best_hit[cls] != noSlot)
             return best_hit[cls];
-        if (best_any[cls] >= 0)
+        if (best_any[cls] != noSlot)
             return best_any[cls];
     }
-    return -1;
+    return noSlot;
 }
+#endif
 
 void
 DramChannel::tick(Cycle now, std::vector<MemRequest> &completed)
 {
-    // Retire finished data transfers.
-    for (std::size_t i = 0; i < inService_.size();) {
-        if (inService_[i].doneAt <= now) {
-            ++stateVersion_;
-            const MemRequest &done = inService_[i].req;
-            // Stamped at doneAt, not now: delayed skip-free ticks must
-            // not inflate the recorded service time.
-            MTP_OBS_HOOK(tracer_,
-                         stage(obs::Stage::DramDone, done.addr,
-                               static_cast<std::uint8_t>(done.type),
-                               done.core, channelId_,
-                               inService_[i].doneAt));
-            completed.push_back(std::move(inService_[i].req));
-            inService_[i] = std::move(inService_.back());
-            inService_.pop_back();
-        } else {
-            ++i;
+    // Retire finished data transfers; serviceDoneAts_ holds their
+    // minimum, so most ticks skip the in-service walk.
+    if (!serviceDoneAts_.empty() && serviceDoneAts_.front() <= now) {
+        for (std::size_t i = 0; i < inService_.size();) {
+            if (inService_[i].doneAt <= now) {
+                ++stateVersion_;
+                const MemRequest &done = inService_[i].req;
+                // Stamped at doneAt, not now: delayed skip-free ticks
+                // must not inflate the recorded service time.
+                MTP_OBS_HOOK(tracer_,
+                             stage(obs::Stage::DramDone, done.addr,
+                                   static_cast<std::uint8_t>(done.type),
+                                   done.core, channelId_,
+                                   inService_[i].doneAt));
+                completed.push_back(std::move(inService_[i].req));
+                inService_[i] = std::move(inService_.back());
+                inService_.pop_back();
+            } else {
+                ++i;
+            }
         }
+        while (!serviceDoneAts_.empty() && serviceDoneAts_.front() <= now)
+            serviceDoneAts_.pop_front();
     }
-    while (!serviceDoneAts_.empty() && serviceDoneAts_.front() <= now)
-        serviceDoneAts_.pop_front();
 
     // Schedule at most one request per cycle (command-bus limit).
     int pick = pickRequest(now);
-    if (pick < 0)
+#if MTP_SLOW_CHECKS
+    MTP_ASSERT(pick == pickRequestScan(now),
+               "per-bank FR-FCFS pick disagrees with the buffer scan");
+#endif
+    if (pick == noSlot)
         return;
     ++stateVersion_;
 
-    MemRequest req = std::move(buffer_[pick]);
-    buffer_.erase(buffer_.begin() + pick);
-    auto by_addr = bufferedByAddr_.find(req.addr);
-    MTP_ASSERT(by_addr != bufferedByAddr_.end(),
-               "scheduled request missing from the address index");
-    if (--by_addr->second == 0)
-        bufferedByAddr_.erase(by_addr);
-
-    DramCoord c = mapAddr(req.addr);
-    MTP_ASSERT(bankPending_[c.bank] > 0, "bank pending-count underflow");
-    --bankPending_[c.bank];
-    Bank &bank = banks_[c.bank];
+    Slot &slot = slots_[pick];
+    unlink(pick);
+    unindex(slot.req.addr, slot.req.type == ReqType::DemandStore);
+    MTP_ASSERT(bankPending_[slot.bank] > 0, "bank pending-count underflow");
+    --bankPending_[slot.bank];
+    freeSlots_.push_back(pick);
+    MemRequest req = std::move(slot.req);
+    Bank &bank = banks_[slot.bank];
 
     MTP_OBS_HOOK(tracer_,
                  stage(obs::Stage::DramSchedule, req.addr,
@@ -202,7 +366,7 @@ DramChannel::tick(Cycle now, std::vector<MemRequest> &completed)
                        channelId_, now));
 
     Cycle act_cost;
-    if (bank.openRow == c.row) {
+    if (bank.openRow == slot.row) {
         act_cost = 0;
         ++counters_.rowHits;
     } else if (bank.openRow == noRow) {
@@ -219,7 +383,10 @@ DramChannel::tick(Cycle now, std::vector<MemRequest> &completed)
     Cycle burst = std::max<Cycle>(1, burst_ * req.bytes / blockBytes);
     Cycle done = data_start + burst;
 
-    bank.openRow = c.row;
+    if (bank.openRow != slot.row) {
+        bank.openRow = slot.row;
+        refreshHits(slot.bank);
+    }
     bank.busyUntil = done;
     busFreeAt_ = done;
 

@@ -16,10 +16,10 @@
 #include <cstdint>
 #include <deque>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/config.hh"
+#include "common/log.hh" // MTP_SLOW_CHECKS
 #include "common/stats.hh"
 #include "mem/mem_request.hh"
 #include "obs/trace.hh"
@@ -33,7 +33,19 @@ struct DramCoord
     std::uint64_t row;
 };
 
-/** One DRAM channel: request buffer + banks + data bus. */
+/**
+ * One DRAM channel: request buffer + banks + data bus.
+ *
+ * The request buffer is a fixed pool of memBufEntries slots. Each
+ * buffered request carries its bank, row, priority class and an
+ * insertion sequence number, so buffer order is sequence order and
+ * nothing is erased from the middle of a container. Per bank and per
+ * priority class the slots sit on an oldest-first list that also
+ * caches its oldest entry on the bank's open row, so an FR-FCFS pick
+ * reads at most two entries per class per ready bank: O(banks), not
+ * O(buffer). Under MTP_SLOW_CHECKS every pick is cross-checked against
+ * pickRequestScan(), the oldest-first walk of the whole buffer.
+ */
 class DramChannel
 {
   public:
@@ -54,9 +66,12 @@ class DramChannel
     DramChannel(const SimConfig &cfg, unsigned channelId);
 
     /** @return true iff the request buffer has no free entry. */
-    bool bufferFull() const { return buffer_.size() >= bufEntries_; }
+    bool bufferFull() const { return freeSlots_.empty(); }
 
-    std::size_t bufferOccupancy() const { return buffer_.size(); }
+    std::size_t bufferOccupancy() const
+    {
+        return slots_.size() - freeSlots_.size();
+    }
 
     /**
      * Insert a request, attempting an inter-core merge with a buffered
@@ -74,7 +89,10 @@ class DramChannel
     void tick(Cycle now, std::vector<MemRequest> &completed);
 
     /** @return true iff no request is buffered or in service. */
-    bool drained() const { return buffer_.empty() && inService_.empty(); }
+    bool drained() const
+    {
+        return bufferOccupancy() == 0 && inService_.empty();
+    }
 
     /**
      * Promote a buffered prefetch of @p addr to demand priority (a
@@ -126,6 +144,11 @@ class DramChannel
 
   private:
     static constexpr std::uint64_t noRow = ~0ULL;
+    /** Null slot index and list link. */
+    static constexpr int noSlot = -1;
+    /** Priority classes; every request is demandCls without priority. */
+    static constexpr unsigned demandCls = 0;
+    static constexpr unsigned prefetchCls = 1;
 
     /** Per-bank row-buffer state. */
     struct Bank
@@ -141,14 +164,68 @@ class DramChannel
         Cycle doneAt;
     };
 
-    /** Index of the best schedulable request, or -1. */
+    /** One request-buffer entry with its precomputed scheduling keys. */
+    struct Slot
+    {
+        MemRequest req;
+        std::uint64_t seq = 0; //!< insertion order = buffer order
+        std::uint64_t row = 0;
+        unsigned bank = 0;
+        unsigned cls = demandCls;
+        int prev = noSlot; //!< neighbours on the (bank, cls) list
+        int next = noSlot;
+    };
+
+    /** Oldest-first slot list of one (bank, priority class). */
+    struct ClassList
+    {
+        int head = noSlot;
+        int tail = noSlot;
+        int hit = noSlot; //!< oldest entry on the bank's open row
+    };
+
+    /**
+     * Buffered slots of one block. Mergeable requests always merge, so
+     * a block has at most one read-class (load or prefetch) slot and
+     * one store slot; a cell with neither is empty.
+     */
+    struct AddrCell
+    {
+        Addr addr = 0;
+        int read = noSlot;
+        int store = noSlot;
+
+        bool empty() const { return read == noSlot && store == noSlot; }
+    };
+
+    /** Slot of the best schedulable request, or noSlot. */
     int pickRequest(Cycle now) const;
+#if MTP_SLOW_CHECKS
+    /** pickRequest() by an oldest-first walk of the whole buffer. */
+    int pickRequestScan(Cycle now) const;
+#endif
+
+    ClassList &classList(const Slot &s) { return lists_[s.bank * 2 + s.cls]; }
+    /** Link slot @p s into its (bank, cls) list at its sequence position. */
+    void link(int s);
+    /** Unlink slot @p s from its (bank, cls) list. */
+    void unlink(int s);
+    /** Re-find both classes' open-row entries of @p bank. */
+    void refreshHits(unsigned bank);
+    /** Move read slot @p s, now holding a demand, to the demand list. */
+    void promote(int s);
+
+    /** Probe start of @p addr in the index. */
+    std::size_t homeCell(Addr addr) const;
+    /** Cell holding @p addr, or the empty cell where it would go. */
+    std::size_t findCell(Addr addr) const;
+    /** Drop @p addr's read or store reference; free the cell if empty. */
+    void unindex(Addr addr, bool store);
 
     unsigned channelId_;
     unsigned channels_;
     unsigned numBanks_;
     unsigned blocksPerRow_;
-    unsigned bufEntries_;
     bool demandPriority_;
     Cycle tCl_;
     Cycle tRcd_;
@@ -156,16 +233,21 @@ class DramChannel
     Cycle burst_;
     Cycle extraLatency_;
 
-    std::deque<MemRequest> buffer_;
+    /** The request buffer: memBufEntries slots, unused ones listed free. */
+    std::vector<Slot> slots_;
+    std::vector<int> freeSlots_;
+    std::uint64_t nextSeq_ = 0;
+    /** Per-(bank, class) candidate lists, at bank * 2 + cls. */
+    std::vector<ClassList> lists_;
     /**
-     * Buffered requests per block address. Lets insert() and
-     * upgradeToDemand() skip the O(buffer) walk in the common case of
-     * no same-block entry; the walk still resolves merge eligibility
-     * and ordering when the address is present.
+     * Flat open-addressed block → slot index (linear probing with
+     * backward-shift deletion), sized to a power of two at least twice
+     * the pool, so insert() merges and upgradeToDemand() are O(1).
      */
-    std::unordered_map<Addr, unsigned> bufferedByAddr_;
+    std::vector<AddrCell> index_;
+    unsigned indexShift_ = 0;
     std::vector<Bank> banks_;
-    /** Buffered requests per bank, for the O(banks) event bound. */
+    /** Buffered requests per bank, for the O(banks) pick and bound. */
     std::vector<unsigned> bankPending_;
     std::vector<InService> inService_;
     /**

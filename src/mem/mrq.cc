@@ -16,29 +16,23 @@ Mrq::push(MemRequest &&req)
     return true;
 }
 
-std::size_t
-Mrq::headIndex() const
+const MemRequest &
+Mrq::head() const
 {
     // FIFO drain: the paper applies demand-over-prefetch priority at
     // the DRAM controller (Table II), not in the core's queue — so
     // prefetch requests genuinely delay later demands here, the effect
     // Sec. IV-B describes.
     MTP_ASSERT(!queue_.empty(), "head() on empty MRQ");
-    return 0;
-}
-
-const MemRequest &
-Mrq::head() const
-{
-    return queue_[headIndex()];
+    return queue_.front();
 }
 
 MemRequest
 Mrq::pop()
 {
-    std::size_t idx = headIndex();
-    MemRequest req = std::move(queue_[idx]);
-    queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(idx));
+    MTP_ASSERT(!queue_.empty(), "pop() on empty MRQ");
+    MemRequest req = std::move(queue_.front());
+    queue_.pop_front();
     return req;
 }
 

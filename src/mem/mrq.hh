@@ -2,8 +2,9 @@
  * @file
  * Per-core Memory Request Queue (Fig. 1). Same-block deduplication is
  * handled upstream by the core's MSHR file, so the MRQ is a bounded
- * queue whose drain order gives demands priority over prefetches
- * (Table II: demand requests have higher priority throughout).
+ * FIFO. Demand-over-prefetch priority (Table II) applies at the DRAM
+ * controller, not here, so a queued prefetch delays later demands
+ * (Sec. IV-B).
  */
 
 #ifndef MTP_MEM_MRQ_HH
@@ -18,7 +19,7 @@
 
 namespace mtp {
 
-/** Bounded, demand-first memory request queue. */
+/** Bounded FIFO memory request queue. */
 class Mrq
 {
   public:
@@ -41,13 +42,10 @@ class Mrq
      */
     bool push(MemRequest &&req);
 
-    /**
-     * Next request to inject: the oldest demand if any, else the oldest
-     * prefetch. Queue must not be empty.
-     */
+    /** Next request to inject: the oldest. Queue must not be empty. */
     const MemRequest &head() const;
 
-    /** Remove and return the request head() designates. */
+    /** Remove and return head(). */
     MemRequest pop();
 
     /**
@@ -71,9 +69,6 @@ class Mrq
     void exportStats(StatSet &set, const std::string &prefix) const;
 
   private:
-    /** Index of the request head()/pop() select. */
-    std::size_t headIndex() const;
-
     unsigned capacity_;
     std::deque<MemRequest> queue_;
     Counters counters_;

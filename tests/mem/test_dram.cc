@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+
+#include "common/rng.hh"
 #include "mem/dram.hh"
 #include "tests/test_helpers.hh"
 
@@ -166,6 +170,318 @@ TEST(Dram, DrainedTracksOutstandingWork)
     std::vector<MemRequest> done;
     runUntil(ch, 1, done);
     EXPECT_TRUE(ch.drained());
+}
+
+/**
+ * The straightforward channel: a deque buffer whose FR-FCFS pick walks
+ * every entry oldest-first and maps each address on the spot. Kept as
+ * the behavioural reference DramChannel's slot pool must reproduce.
+ */
+class ScanChannel
+{
+  public:
+    explicit ScanChannel(const SimConfig &cfg)
+        : channels_(cfg.dramChannels), numBanks_(cfg.dramBanks),
+          blocksPerRow_(cfg.dramRowBytes / blockBytes),
+          bufEntries_(cfg.memBufEntries),
+          demandPriority_(cfg.demandPriority),
+          tCl_(toCore(cfg.dramTCL, cfg)), tRcd_(toCore(cfg.dramTRCD, cfg)),
+          tRp_(toCore(cfg.dramTRP, cfg)),
+          burst_(blockBytes / cfg.dramBusBytesPerCycle),
+          extraLatency_(cfg.memLatencyExtra), banks_(cfg.dramBanks),
+          bankPending_(cfg.dramBanks, 0)
+    {
+    }
+
+    bool bufferFull() const { return buffer_.size() >= bufEntries_; }
+    std::size_t bufferOccupancy() const { return buffer_.size(); }
+    bool drained() const { return buffer_.empty() && inService_.empty(); }
+    std::uint64_t stateVersion() const { return stateVersion_; }
+    const DramChannel::Counters &counters() const { return counters_; }
+
+    bool
+    insert(MemRequest &&req)
+    {
+        ++stateVersion_;
+        for (auto &queued : buffer_) {
+            if (queued.addr == req.addr &&
+                MemRequest::mergeable(queued.type, req.type)) {
+                queued.mergeFrom(std::move(req));
+                ++counters_.interCoreMerges;
+                return true;
+            }
+        }
+        ++bankPending_[mapAddr(req.addr).bank];
+        buffer_.push_back(std::move(req));
+        return false;
+    }
+
+    bool
+    upgradeToDemand(Addr addr)
+    {
+        for (auto &req : buffer_) {
+            if (req.addr == addr && isPrefetch(req.type)) {
+                req.type = ReqType::DemandLoad;
+                return true;
+            }
+        }
+        return false;
+    }
+
+    Cycle
+    nextEventAt(Cycle now) const
+    {
+        Cycle e = invalidCycle;
+        if (!serviceDoneAts_.empty())
+            e = serviceDoneAts_.front();
+        for (unsigned b = 0; b < numBanks_; ++b) {
+            if (bankPending_[b] == 0)
+                continue;
+            if (banks_[b].busyUntil <= now)
+                return now;
+            e = std::min(e, banks_[b].busyUntil);
+        }
+        return e;
+    }
+
+    void
+    tick(Cycle now, std::vector<MemRequest> &completed)
+    {
+        for (std::size_t i = 0; i < inService_.size();) {
+            if (inService_[i].doneAt <= now) {
+                ++stateVersion_;
+                completed.push_back(std::move(inService_[i].req));
+                inService_[i] = std::move(inService_.back());
+                inService_.pop_back();
+            } else {
+                ++i;
+            }
+        }
+        while (!serviceDoneAts_.empty() && serviceDoneAts_.front() <= now)
+            serviceDoneAts_.pop_front();
+
+        int pick = pickRequest(now);
+        if (pick < 0)
+            return;
+        ++stateVersion_;
+        MemRequest req = std::move(buffer_[pick]);
+        buffer_.erase(buffer_.begin() + pick);
+        DramCoord c = mapAddr(req.addr);
+        --bankPending_[c.bank];
+        Bank &bank = banks_[c.bank];
+        Cycle act_cost;
+        if (bank.openRow == c.row) {
+            act_cost = 0;
+            ++counters_.rowHits;
+        } else if (bank.openRow == noRow) {
+            act_cost = tRcd_;
+            ++counters_.rowEmpty;
+        } else {
+            act_cost = tRp_ + tRcd_;
+            ++counters_.rowConflicts;
+        }
+        Cycle data_start = std::max(now + act_cost + tCl_, busFreeAt_);
+        Cycle done =
+            data_start + std::max<Cycle>(1, burst_ * req.bytes / blockBytes);
+        bank.openRow = c.row;
+        bank.busyUntil = done;
+        busFreeAt_ = done;
+        counters_.bytesTransferred += req.bytes;
+        if (req.type == ReqType::DemandStore)
+            ++counters_.writes;
+        else
+            ++counters_.reads;
+        if (isPrefetch(req.type))
+            ++counters_.prefetchServiced;
+        else
+            ++counters_.demandServiced;
+        serviceDoneAts_.push_back(done + extraLatency_);
+        inService_.push_back({std::move(req), done + extraLatency_});
+    }
+
+  private:
+    static constexpr std::uint64_t noRow = ~0ULL;
+
+    struct Bank
+    {
+        std::uint64_t openRow = noRow;
+        Cycle busyUntil = 0;
+    };
+
+    struct InService
+    {
+        MemRequest req;
+        Cycle doneAt;
+    };
+
+    static Cycle
+    toCore(unsigned dram_cycles, const SimConfig &cfg)
+    {
+        return (static_cast<Cycle>(dram_cycles) * cfg.memClockDen +
+                cfg.memClockNum - 1) /
+               cfg.memClockNum;
+    }
+
+    DramCoord
+    mapAddr(Addr addr) const
+    {
+        std::uint64_t row = blockIndex(addr) / channels_ / blocksPerRow_;
+        return {static_cast<unsigned>(row % numBanks_), row / numBanks_};
+    }
+
+    int
+    pickRequest(Cycle now) const
+    {
+        int best_hit[2] = {-1, -1};
+        int best_any[2] = {-1, -1};
+        for (int i = 0; i < static_cast<int>(buffer_.size()); ++i) {
+            DramCoord c = mapAddr(buffer_[i].addr);
+            const Bank &bank = banks_[c.bank];
+            if (bank.busyUntil > now)
+                continue;
+            int cls = (demandPriority_ && isPrefetch(buffer_[i].type)) ? 1
+                                                                       : 0;
+            if (best_any[cls] < 0)
+                best_any[cls] = i;
+            if (best_hit[cls] < 0 && bank.openRow == c.row)
+                best_hit[cls] = i;
+        }
+        for (int cls = 0; cls < 2; ++cls) {
+            if (best_hit[cls] >= 0)
+                return best_hit[cls];
+            if (best_any[cls] >= 0)
+                return best_any[cls];
+        }
+        return -1;
+    }
+
+    unsigned channels_, numBanks_, blocksPerRow_, bufEntries_;
+    bool demandPriority_;
+    Cycle tCl_, tRcd_, tRp_, burst_, extraLatency_;
+    std::deque<MemRequest> buffer_;
+    std::vector<Bank> banks_;
+    std::vector<unsigned> bankPending_;
+    std::vector<InService> inService_;
+    std::deque<Cycle> serviceDoneAts_;
+    Cycle busFreeAt_ = 0;
+    std::uint64_t stateVersion_ = 0;
+    DramChannel::Counters counters_;
+};
+
+void
+expectSameCounters(const DramChannel::Counters &a,
+                   const DramChannel::Counters &b)
+{
+    EXPECT_EQ(a.reads, b.reads);
+    EXPECT_EQ(a.writes, b.writes);
+    EXPECT_EQ(a.rowHits, b.rowHits);
+    EXPECT_EQ(a.rowEmpty, b.rowEmpty);
+    EXPECT_EQ(a.rowConflicts, b.rowConflicts);
+    EXPECT_EQ(a.interCoreMerges, b.interCoreMerges);
+    EXPECT_EQ(a.bytesTransferred, b.bytesTransferred);
+    EXPECT_EQ(a.demandServiced, b.demandServiced);
+    EXPECT_EQ(a.prefetchServiced, b.prefetchServiced);
+}
+
+/**
+ * Drive a DramChannel and a ScanChannel with the same seeded random
+ * stream — loads, stores, both prefetch kinds, 32 B and 64 B, a block
+ * pool small enough to merge often and spread over several rows per
+ * bank, upgrades of buffered prefetches, and occasional jumps to the
+ * event horizon — and require identical behaviour at every tick.
+ */
+void
+runDifferential(unsigned banks, unsigned entries, bool demand_priority,
+                std::uint64_t seed)
+{
+    SCOPED_TRACE(testing::Message()
+                 << "banks=" << banks << " entries=" << entries
+                 << " demandPriority=" << demand_priority
+                 << " seed=" << seed);
+    SimConfig cfg;
+    cfg.dramChannels = 2;
+    cfg.dramBanks = banks;
+    cfg.memBufEntries = entries;
+    cfg.demandPriority = demand_priority;
+    DramChannel fast(cfg, 0);
+    ScanChannel ref(cfg);
+    Rng rng(seed);
+
+    // Channel-0 blocks: 4 per row, 3 rows per bank.
+    const std::uint64_t per_row = cfg.dramRowBytes / blockBytes;
+    auto random_block = [&] {
+        std::uint64_t row = rng.below(3 * banks);
+        std::uint64_t col = rng.below(4);
+        return (row * per_row + col) * cfg.dramChannels * blockBytes;
+    };
+    const ReqType types[] = {ReqType::DemandLoad, ReqType::DemandStore,
+                             ReqType::SwPrefetch, ReqType::HwPrefetch};
+
+    std::vector<MemRequest> done_fast, done_ref;
+    Cycle now = 0;
+    // Arrivals stop after 3000 steps; then both channels drain.
+    for (unsigned step = 0; step < 3000 || !ref.drained(); ++step) {
+        ASSERT_LT(step, 100000u) << "reference channel did not drain";
+        unsigned arrivals = step < 3000 ? static_cast<unsigned>(rng.below(3))
+                                        : 0;
+        for (unsigned k = 0; k < arrivals; ++k) {
+            ASSERT_EQ(fast.bufferFull(), ref.bufferFull());
+            if (fast.bufferFull())
+                break;
+            MemRequest req = MemRequest::make(
+                random_block(), types[rng.below(4)],
+                static_cast<CoreId>(rng.below(4)), now,
+                rng.chance(0.3) ? 32 : blockBytes);
+            MemRequest copy = req;
+            ASSERT_EQ(fast.insert(std::move(req)), ref.insert(std::move(copy)));
+        }
+        if (rng.chance(0.2)) {
+            Addr a = random_block();
+            ASSERT_EQ(fast.upgradeToDemand(a), ref.upgradeToDemand(a));
+        }
+        ASSERT_EQ(fast.nextEventAt(now), ref.nextEventAt(now));
+
+        done_fast.clear();
+        done_ref.clear();
+        fast.tick(now, done_fast);
+        ref.tick(now, done_ref);
+        ASSERT_EQ(done_fast.size(), done_ref.size()) << "cycle " << now;
+        for (std::size_t i = 0; i < done_fast.size(); ++i) {
+            EXPECT_EQ(done_fast[i].addr, done_ref[i].addr);
+            EXPECT_EQ(done_fast[i].type, done_ref[i].type);
+            EXPECT_EQ(done_fast[i].core, done_ref[i].core);
+            EXPECT_EQ(done_fast[i].created, done_ref[i].created);
+            EXPECT_EQ(done_fast[i].bytes, done_ref[i].bytes);
+            EXPECT_EQ(done_fast[i].sharers, done_ref[i].sharers);
+        }
+        ASSERT_EQ(fast.stateVersion(), ref.stateVersion()) << "cycle " << now;
+        ASSERT_EQ(fast.bufferOccupancy(), ref.bufferOccupancy());
+        ASSERT_EQ(fast.drained(), ref.drained());
+        expectSameCounters(fast.counters(), ref.counters());
+
+        // Mostly consecutive cycles; sometimes a jump to the horizon,
+        // which retires several transfers in one tick.
+        Cycle next = now + 1;
+        if (rng.chance(0.1)) {
+            Cycle horizon = fast.nextEventAt(next);
+            if (horizon != invalidCycle)
+                next = std::max(next, horizon);
+        }
+        now = next;
+    }
+    if (entries > 1) {
+        EXPECT_GT(fast.counters().rowHits, 0u);
+        EXPECT_GT(fast.counters().interCoreMerges, 0u);
+    }
+}
+
+TEST(Dram, SlotPoolMatchesLinearScanChannel)
+{
+    for (unsigned banks : {1u, 2u, 4u, 8u})
+        for (unsigned entries : {1u, 8u, 64u})
+            for (bool demand_priority : {true, false})
+                for (std::uint64_t seed : {1u, 2u})
+                    runDifferential(banks, entries, demand_priority, seed);
 }
 
 } // namespace
