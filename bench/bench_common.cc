@@ -53,10 +53,6 @@ parseArgs(int argc, char **argv, const std::vector<FlagSpec> &extra,
             opts.jobs = static_cast<unsigned>(std::stoul(argv[++i]));
             if (opts.jobs == 0)
                 MTP_FATAL("--jobs must be >= 1");
-        } else if (arg == "--shards" && i + 1 < argc) {
-            opts.shards = static_cast<unsigned>(std::stoul(argv[++i]));
-            if (opts.shards == 0)
-                MTP_FATAL("--shards must be >= 1");
         } else if (arg == "--sample-period" && i + 1 < argc) {
             opts.samplePeriod = static_cast<Cycle>(
                 std::stoull(argv[++i]));
@@ -68,7 +64,7 @@ parseArgs(int argc, char **argv, const std::vector<FlagSpec> &extra,
             opts.quiet = true;
         } else if (arg == "--help" || arg == "-h") {
             std::printf("usage: %s [--scale N] [--bench a,b,...] "
-                        "[--jobs N] [--shards N] [--sample-period N] "
+                        "[--jobs N] [--sample-period N] "
                         "[--trace-out file.json] [--json file.json] "
                         "[--quiet]%s%s [key=value ...]\n",
                         argv[0], extraUsage.empty() ? "" : " ",
@@ -95,19 +91,11 @@ obsConfig(const Options &opts, const std::string &runTag)
     return ocfg;
 }
 
-unsigned
-effectiveJobs(const Options &opts)
-{
-    return driver::ParallelExecutor::budgetedThreads(opts.jobs,
-                                                     opts.shards);
-}
-
 SimConfig
 baseConfig(const Options &opts)
 {
     SimConfig cfg;
     cfg.throttlePeriod = opts.throttlePeriod;
-    cfg.shards = opts.shards;
     cfg.applyOverrides(opts.overrides);
     return cfg;
 }
@@ -139,11 +127,7 @@ sweepSubset()
 void
 Runner::recordFingerprint(const SimConfig &cfg, const KernelDesc &kernel)
 {
-    // Normalize the shard count: sharding is bit-identical by
-    // construction, and manifests must not change across --shards.
-    SimConfig normalized = cfg;
-    normalized.shards = 1;
-    driver::Fingerprint fp = driver::fingerprint(normalized, kernel);
+    driver::Fingerprint fp = driver::fingerprint(cfg, kernel);
     driver::Fnv1a cfgHash;
     cfgHash.add(fp.config);
     char tag[64];

@@ -31,7 +31,6 @@ struct Options
     unsigned scaleDiv = 8;      //!< grid divisor vs. the paper
     Cycle throttlePeriod = 5000; //!< scaled from the paper's 100K
     unsigned jobs = 0;          //!< worker threads (0 = all cores)
-    unsigned shards = 1;        //!< intra-run worker threads (--shards)
     Cycle samplePeriod = 0;     //!< --sample-period (0 = no sampling)
     std::string traceOut;       //!< --trace-out Chrome trace base path
     std::string jsonOut;        //!< --json machine-readable output path
@@ -44,7 +43,7 @@ struct Options
  * A harness-specific flag layered on top of the common CLI. Extra
  * flags are matched *before* the common set, so a harness can shadow
  * a common flag when its axis needs a different shape (bench_simrate
- * reinterprets --shards as a sweep list, for example).
+ * takes --out as an alias of --json, for example).
  */
 struct FlagSpec
 {
@@ -53,22 +52,14 @@ struct FlagSpec
     std::function<void(const std::string &)> handler;
 };
 
-/** Parse argv; recognises --scale, --bench, --jobs, --shards,
- *  --sample-period, --trace-out, --json, --quiet, key=value overrides
- *  and any @p extra harness flags. Unknown flags are fatal with a
- *  consistent message across every harness. @p extraUsage is appended
- *  to the --help line. */
+/** Parse argv; recognises --scale, --bench, --jobs, --sample-period,
+ *  --trace-out, --json, --quiet, key=value overrides and any @p extra
+ *  harness flags. Unknown flags are fatal with a consistent message
+ *  across every harness. @p extraUsage is appended to the --help
+ *  line. */
 Options parseArgs(int argc, char **argv,
                   const std::vector<FlagSpec> &extra = {},
                   const std::string &extraUsage = "");
-
-/**
- * Executor width for @p opts: the explicit --jobs value, or — when
- * intra-run sharding is on and no --jobs was given — the host core
- * count divided by the shard count, so the two parallelism axes share
- * one thread budget (jobs x shards ~ cores) instead of multiplying.
- */
-unsigned effectiveJobs(const Options &opts);
 
 /**
  * Observation settings for one run of a harness, derived from
@@ -117,7 +108,7 @@ class Runner
 {
   public:
     explicit Runner(const Options &opts)
-        : opts_(opts), exec_(effectiveJobs(opts)), cache_(exec_)
+        : opts_(opts), exec_(opts.jobs), cache_(exec_)
     {
     }
 
@@ -181,11 +172,8 @@ class Runner
     std::uint64_t cacheEvictions() const { return cache_.evictions(); }
 
     /**
-     * Normalized fingerprint tag of every distinct run submitted, in
+     * Fingerprint tag of every distinct run submitted, in
      * first-submission order: "<kernel>:<config hash>:<kernel hash>".
-     * The config hash is taken with `shards` forced to 1 — sharding is
-     * bit-identical by construction (DESIGN.md §10), so the manifest
-     * stays byte-identical across --shards settings.
      */
     const std::vector<std::string> &fingerprints() const { return fps_; }
 

@@ -24,7 +24,7 @@
  *          [--disabled-only]
  *
  * The CLI matches the shared harness conventions (--json aliases
- * --out, --quiet, --jobs/--shards accepted as no-ops, the same
+ * --out, --quiet, --jobs accepted as a no-op, the same
  * unknown-flag error) but is parsed by hand: this source is also
  * compiled against the no-obs stack (bench_obs_overhead_noobs), which
  * cannot link the bench_common library without colliding with the
@@ -118,8 +118,7 @@ main(int argc, char **argv)
             compareWith = argv[++i];
         } else if (arg == "--threshold" && i + 1 < argc) {
             thresholdPct = std::atof(argv[++i]);
-        } else if ((arg == "--jobs" || arg == "--shards") &&
-                   i + 1 < argc) {
+        } else if (arg == "--jobs" && i + 1 < argc) {
             ++i; // accepted for CLI uniformity; a timing harness
                  // must stay a single serial process
         } else if (arg == "--smoke") {

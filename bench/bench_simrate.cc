@@ -15,37 +15,24 @@
  * for most of every memory round trip), one benchmark from each
  * workload class, and two event-dense full-machine kernels (a
  * bfs-style irregular pointer walk and a high-MLP streaming kernel)
- * that stress the event-queue schedule where the legacy polling loop
- * historically regressed. Exits nonzero on any fast/naive mismatch.
- *
- * A second section sweeps intra-run sharding (SimConfig::shards) over
- * the paper's Fig. 18 machine width (28 cores): the high-MLP streaming
- * benchmark is timed at every shard count of the --shards axis
- * (default 1,2,4), each run's statistics dump is checked byte-identical
- * against the serial shards=1 reference, and the self-relative speedup
- * lands in BENCH_simrate.json under "shardScaling".
+ * that stress the event-queue schedule. Exits nonzero on any
+ * fast/naive mismatch.
  *
  * --gate additionally enforces the performance contract of the
  * event-queue scheduler: every per-workload speedup >= 1.0x and the
- * geomean >= 3.0x — measured at shards=1, so the sharded
- * infrastructure gates against any serial-path regression — plus a
- * 1.8x self-relative floor on the shards=4 scaling point whenever the
- * host has at least four hardware threads (skipped, loudly, on
- * smaller hosts where the speedup cannot physically materialize).
- * Workloads falling short are re-measured best-of-N so a CI
+ * geomean >= 3.0x. Workloads falling short are re-measured best-of-N so a CI
  * scheduling hiccup in one timing cannot fail the gate; a genuine
  * regression still does. The attempt count is tunable via the
  * MTP_BENCH_RETRIES environment variable and every re-measurement
  * draws from one monotonic-clock budget, so retries can never walk
  * the job past its CTest timeout.
  *
- * Usage: bench_simrate [--scale N] [--bench a,b] [--shards a,b,...]
- *                      [--out FILE] [--smoke] [--gate]
+ * Usage: bench_simrate [--scale N] [--bench a,b] [--out FILE]
+ *                      [--smoke] [--gate]
  *
  * The CLI is the shared harness parser (bench_common.hh) with three
- * extra flags; --shards is shadowed to mean the sweep axis rather
- * than one shard count, and --json is an alias for --out so the
- * campaign driver can address every harness uniformly.
+ * extra flags; --json is an alias for --out so the campaign driver
+ * can address every harness uniformly.
  */
 
 #include <algorithm>
@@ -56,7 +43,6 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_common.hh"
@@ -99,9 +85,9 @@ latencyMicroKernel(unsigned numCores, unsigned trips)
  * A bfs-style irregular kernel at full machine width: every trip is a
  * dependent chain of two scattered loads, so warps stall on
  * unpredictable DRAM round trips and completions arrive at irregular
- * cycles across all cores — the event-dense regime where the legacy
- * polling loop paid the full O(cores) bound computation every cycle
- * for nothing.
+ * cycles across all cores — the event-dense regime, where few cycles
+ * can be skipped and most of the win must come from ticking only the
+ * due components.
  */
 KernelDesc
 scatterWalkKernel(unsigned numCores, unsigned trips)
@@ -236,26 +222,6 @@ kcyclesPerSec(Cycle cycles, double secs)
     return secs > 0.0 ? static_cast<double>(cycles) / secs / 1000.0 : 0.0;
 }
 
-/** One point of the intra-run sharding sweep. */
-struct ScalePoint
-{
-    unsigned shards = 1;
-    Cycle cycles = 0;
-    double seconds = 0.0;
-    double speedup = 0.0; //!< self-relative: shards=1 time / this time
-    bool identical = false; //!< stats byte-identical to shards=1
-};
-
-/** Time one fast-forward run; @p r receives the result. */
-double
-timeFast(const SimConfig &cfg, const KernelDesc &kernel, RunResult &r)
-{
-    auto t0 = std::chrono::steady_clock::now();
-    r = simulate(cfg, kernel);
-    auto t1 = std::chrono::steady_clock::now();
-    return seconds(t0, t1);
-}
-
 /**
  * Best-of-N attempt count for --gate re-measurements: 4 unless the
  * MTP_BENCH_RETRIES environment variable overrides it.
@@ -276,9 +242,7 @@ gateAttemptBudget()
 
 void
 writeJson(const std::string &path, const bench::Options &opts,
-          const std::vector<Measurement> &rows, double geomeanSpeedup,
-          const std::string &scaleName, unsigned scaleCores,
-          const std::vector<ScalePoint> &scaling)
+          const std::vector<Measurement> &rows, double geomeanSpeedup)
 {
     unsigned scaleDiv = opts.scaleDiv;
     std::string header;
@@ -301,25 +265,7 @@ writeJson(const std::string &path, const bench::Options &opts,
            << (m.identical ? "true" : "false") << "}"
            << (i + 1 < rows.size() ? "," : "") << "\n";
     }
-    os << "  ],\n  \"geomeanSpeedup\": " << geomeanSpeedup;
-    if (!scaling.empty()) {
-        os << ",\n  \"shardScaling\": {\n    \"workload\": \""
-           << scaleName << "\",\n    \"numCores\": " << scaleCores
-           << ",\n    \"hostThreads\": "
-           << std::max(1u, std::thread::hardware_concurrency())
-           << ",\n    \"points\": [\n";
-        for (std::size_t i = 0; i < scaling.size(); ++i) {
-            const ScalePoint &p = scaling[i];
-            os << "      {\"shards\": " << p.shards << ", \"seconds\": "
-               << p.seconds << ", \"kcyclesPerSec\": "
-               << kcyclesPerSec(p.cycles, p.seconds) << ", \"speedup\": "
-               << p.speedup << ", \"identical\": "
-               << (p.identical ? "true" : "false") << "}"
-               << (i + 1 < scaling.size() ? "," : "") << "\n";
-        }
-        os << "    ]\n  }";
-    }
-    os << "\n}\n";
+    os << "  ],\n  \"geomeanSpeedup\": " << geomeanSpeedup << "\n}\n";
 }
 
 } // namespace
@@ -330,28 +276,13 @@ main(int argc, char **argv)
     bool smoke = false;
     bool gate = false;
     std::string out = "BENCH_simrate.json";
-    std::vector<unsigned> shardAxis = {1, 2, 4};
     std::vector<bench::FlagSpec> extra = {
         {"--out", true, [&](const std::string &v) { out = v; }},
         {"--smoke", false, [&](const std::string &) { smoke = true; }},
         {"--gate", false, [&](const std::string &) { gate = true; }},
-        // Shadows the common --shards: here it is the sweep axis.
-        {"--shards", true,
-         [&](const std::string &v) {
-             shardAxis.clear();
-             std::stringstream ss(v);
-             std::string item;
-             while (std::getline(ss, item, ','))
-                 shardAxis.push_back(
-                     static_cast<unsigned>(std::stoul(item)));
-             for (unsigned s : shardAxis)
-                 if (s == 0)
-                     MTP_FATAL("--shards values must be >= 1");
-         }},
     };
     bench::Options opts = bench::parseArgs(
-        argc, argv, extra,
-        "[--out FILE] [--smoke] [--gate] (--shards = sweep list)");
+        argc, argv, extra, "[--out FILE] [--smoke] [--gate]");
     if (smoke)
         opts.scaleDiv = 64;
     if (!opts.jsonOut.empty())
@@ -359,12 +290,6 @@ main(int argc, char **argv)
     unsigned scaleDiv = opts.scaleDiv;
     const std::vector<std::string> &filter = opts.benchmarks;
     const bool quiet = opts.quiet;
-    // The sweep is self-relative: shards=1 is the reference point.
-    std::sort(shardAxis.begin(), shardAxis.end());
-    shardAxis.erase(std::unique(shardAxis.begin(), shardAxis.end()),
-                    shardAxis.end());
-    if (shardAxis.empty() || shardAxis.front() != 1)
-        shardAxis.insert(shardAxis.begin(), 1);
 
     SimConfig cfg; // Table II baseline, no prefetching
     cfg.throttlePeriod = 100000 / scaleDiv;
@@ -417,7 +342,6 @@ main(int argc, char **argv)
     // The gate's performance contract (see the file comment).
     const double gateMinSpeedup = 1.0;
     const double gateMinGeomean = 3.0;
-    const double gateMinShardSpeedup = 1.8; // shards=4, self-relative
     const unsigned gateAttempts = gateAttemptBudget();
     // All gate re-measurements draw on one monotonic-clock budget:
     // once it runs out the best timing so far stands, so retries can
@@ -470,79 +394,7 @@ main(int argc, char **argv)
     if (!quiet)
         std::printf("\ngeomean speedup: %.2fx\n", gm);
 
-    // Intra-run sharding sweep: the high-MLP streaming kernel on the
-    // paper's Fig. 18 machine width, timed at each shard count.
-    // shards=1 runs the unmodified serial event-queue loop and is the
-    // self-relative reference; every other point must reproduce its
-    // statistics dump byte for byte.
-    const std::string scaleName = "mlp_stream";
-    SimConfig scaleCfg = cfg;
-    scaleCfg.numCores = 28;
-    const unsigned hwThreads =
-        std::max(1u, std::thread::hardware_concurrency());
-    std::vector<ScalePoint> scaling;
-    bool shardsIdentical = true;
-    if (!smoke) {
-        KernelDesc scaleKernel = mlpStreamKernel(
-            scaleCfg.numCores, std::max(1024u / scaleDiv, 16u));
-        if (!quiet) {
-            std::printf("\nsharded scaling: %s, %u cores, host "
-                        "threads %u (self-relative)\n",
-                        scaleName.c_str(), scaleCfg.numCores,
-                        hwThreads);
-            std::printf("%-8s %10s %12s %8s %6s\n", "shards", "fast_s",
-                        "fast_kc/s", "speedup", "equal");
-        }
-        std::string refDump;
-        double refSeconds = 0.0;
-        for (unsigned s : shardAxis) {
-            SimConfig pointCfg = scaleCfg;
-            pointCfg.shards = s;
-            RunResult r;
-            ScalePoint p;
-            p.shards = s;
-            p.seconds = timeFast(pointCfg, scaleKernel, r);
-            p.cycles = r.cycles;
-            if (s == 1)
-                refDump = statDump(r);
-            p.identical = statDump(r) == refDump;
-            // Under --gate both ends of the contract get best-of-N
-            // re-measurements like the serial workloads: the shards=1
-            // reference (a slow reference would flatter every other
-            // point) and the gated shards=4 point (retried while it
-            // sits below the floor). Timing can improve, identity must
-            // hold.
-            bool gated =
-                gate && (s == 1 || (s == 4 && hwThreads >= 4));
-            for (unsigned a = 1;
-                 gated &&
-                 (a < 2 ||
-                  (s == 4 &&
-                   refSeconds / p.seconds < gateMinShardSpeedup)) &&
-                 retryAllowed(a);
-                 ++a) {
-                RunResult again;
-                double secs = timeFast(pointCfg, scaleKernel, again);
-                p.identical =
-                    p.identical && statDump(again) == refDump;
-                p.seconds = std::min(p.seconds, secs);
-            }
-            if (s == 1)
-                refSeconds = p.seconds;
-            p.speedup =
-                p.seconds > 0.0 ? refSeconds / p.seconds : 0.0;
-            if (!quiet)
-                std::printf("%-8u %10.3f %12.1f %7.2fx %6s\n",
-                            p.shards, p.seconds,
-                            kcyclesPerSec(p.cycles, p.seconds),
-                            p.speedup, p.identical ? "yes" : "NO");
-            shardsIdentical = shardsIdentical && p.identical;
-            scaling.push_back(p);
-        }
-    }
-
-    writeJson(out, opts, rows, gm, scaleName, scaleCfg.numCores,
-              scaling);
+    writeJson(out, opts, rows, gm);
     if (!quiet)
         std::printf("wrote %s\n", out.c_str());
 
@@ -550,12 +402,6 @@ main(int argc, char **argv)
         std::fprintf(stderr,
                      "FAIL: fast-forward results diverge from the naive "
                      "oracle loop\n");
-        return 1;
-    }
-    if (!shardsIdentical) {
-        std::fprintf(stderr,
-                     "FAIL: sharded runs diverge from the serial "
-                     "shards=1 reference\n");
         return 1;
     }
     if (gate) {
@@ -575,26 +421,6 @@ main(int argc, char **argv)
                          "gate\n",
                          gm, gateMinGeomean);
             ok = false;
-        }
-        // Sharded floor: shards=4 must reach 1.8x self-relative — a
-        // physical impossibility on hosts with fewer than four
-        // hardware threads, where the floor is skipped (loudly). The
-        // shards=1 no-regression half of the contract is the serial
-        // gate above: every workload there runs at shards=1.
-        for (const ScalePoint &p : scaling) {
-            if (p.shards != 4)
-                continue;
-            if (hwThreads < 4) {
-                std::printf("gate: shards=4 floor skipped (host has "
-                            "%u hardware thread%s)\n",
-                            hwThreads, hwThreads == 1 ? "" : "s");
-            } else if (p.speedup < gateMinShardSpeedup) {
-                std::fprintf(stderr,
-                             "FAIL: shards=4 speedup %.2fx below the "
-                             "%.1fx scaling floor\n",
-                             p.speedup, gateMinShardSpeedup);
-                ok = false;
-            }
         }
         if (!ok)
             return 1;

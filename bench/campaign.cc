@@ -207,7 +207,6 @@ runCampaign(const Options &opts, const std::vector<std::string> &only,
 
     CampaignResult res;
     res.provenance = collectProvenance(opts);
-    res.shards = opts.shards;
 
     Runner runner(opts);
     res.jobs = runner.jobs();
@@ -493,8 +492,6 @@ writeManifest(std::ostream &os, const CampaignResult &res,
         out += "\"session\": {\n";
         appendIndent(out, 2);
         out += "\"jobs\": " + std::to_string(res.jobs) + ",\n";
-        appendIndent(out, 2);
-        out += "\"shards\": " + std::to_string(res.shards) + ",\n";
         appendIndent(out, 2);
         out += "\"wallSeconds\": ";
         appendJsonNumber(out, res.wallSeconds);

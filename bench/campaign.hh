@@ -11,9 +11,9 @@
  *
  * Determinism contract: the manifest body (provenance + figures) is a
  * pure function of the configuration — figure tables come from
- * bit-identical simulations, fingerprints are normalized to shards=1,
- * and all JSON numbers are written with locale-independent
- * std::to_chars — so it is byte-identical across --jobs and --shards.
+ * bit-identical simulations, and all JSON numbers are written with
+ * locale-independent std::to_chars — so it is byte-identical across
+ * --jobs.
  * Wall-clock and cache statistics, which legitimately vary, live in a
  * separate "session" block that the diff gate ignores and that
  * --no-session omits entirely.
@@ -158,7 +158,6 @@ struct CampaignResult
 {
     Provenance provenance;
     unsigned jobs = 0;
-    unsigned shards = 1;
     double wallSeconds = 0.0;
     std::uint64_t runsExecuted = 0;
     std::uint64_t cacheHits = 0;
@@ -252,7 +251,7 @@ runCampaign(const Options &opts, const std::vector<std::string> &only,
 /**
  * Write the consolidated manifest. @p includeSession controls the
  * volatile "session" block (wall clock, cache stats, thread budget);
- * everything else is byte-identical across --jobs/--shards.
+ * everything else is byte-identical across --jobs.
  */
 void writeManifest(std::ostream &os, const CampaignResult &res,
                    bool includeSession);

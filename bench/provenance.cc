@@ -1,9 +1,11 @@
 #include "bench/provenance.hh"
 
+#include <algorithm>
 #include <array>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <thread>
 #include <unistd.h>
 
 #include "obs/json.hh"
@@ -39,6 +41,7 @@ collectProvenance(unsigned scaleDiv, Cycle throttlePeriod,
         p.host = host;
     else
         p.host = "unknown";
+    p.hostThreads = std::max(1u, std::thread::hardware_concurrency());
     p.scaleDiv = scaleDiv;
     p.throttlePeriod = throttlePeriod;
     p.overrides = std::move(overrides);
@@ -116,6 +119,10 @@ appendProvenance(std::string &out, const Provenance &p, int indent)
     appendJsonIndent(out, indent + 1);
     out += "\"host\": ";
     appendJsonString(out, p.host);
+    out += ",\n";
+    appendJsonIndent(out, indent + 1);
+    out += "\"hostThreads\": ";
+    out += std::to_string(p.hostThreads);
     out += ",\n";
     appendJsonIndent(out, indent + 1);
     out += "\"scaleDiv\": ";

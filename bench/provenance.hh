@@ -28,6 +28,7 @@ struct Provenance
     std::string paper;
     std::string gitSha; //!< "unknown" outside a git checkout
     std::string host;
+    unsigned hostThreads = 1; //!< hardware threads of the host
     unsigned scaleDiv = 8;
     Cycle throttlePeriod = 0;
     std::vector<std::string> overrides;
@@ -35,9 +36,9 @@ struct Provenance
 };
 
 /**
- * Collect the git SHA and hostname plus the passed knobs. Field-based
- * (not Options-based) so binaries that hand-parse their CLI can call
- * it; bench/campaign.hh adds the Options overload.
+ * Collect the git SHA, hostname and host thread count plus the passed
+ * knobs. Field-based (not Options-based) so binaries that hand-parse
+ * their CLI can call it; bench/campaign.hh adds the Options overload.
  */
 Provenance collectProvenance(unsigned scaleDiv, Cycle throttlePeriod,
                              std::vector<std::string> overrides = {},

@@ -195,34 +195,15 @@ struct SimConfig
     Cycle maxCycles = 400'000'000; //!< safety cap; runs must finish first
     std::uint64_t seed = 1;       //!< deterministic RNG seed
     /**
-     * Event-driven cycle skipping: when no core, queue or DRAM bank can
-     * make progress this cycle, Gpu::run() fast-forwards to the next
-     * upcoming event instead of ticking dead cycles one by one. Results
-     * and statistics are bit-identical either way (the naive loop is
-     * kept as the oracle; see DESIGN.md on the event-horizon contract);
-     * turning this off only makes runs slower.
+     * Event-driven cycle skipping: true (the default) runs the
+     * event-queue loop — components self-schedule their next tick, only
+     * due components tick each stepped cycle, and the clock jumps over
+     * cycles in which nothing can act. false runs the naive loop that
+     * ticks everything every cycle. Results and statistics are
+     * bit-identical either way (the naive loop is kept as the oracle;
+     * DESIGN.md §7); turning this off only makes runs slower.
      */
     bool fastForward = true;
-    /**
-     * Scheduler used when fastForward is on: true (the default) runs
-     * the event-queue loop — components self-schedule their next tick
-     * and only due components are ticked each stepped cycle; false
-     * falls back to the legacy loop that ticks every component every
-     * cycle and polls every nextEventAt() bound between steps. Results
-     * are bit-identical across naive, legacy and queued (DESIGN.md §7);
-     * the knob exists as a triage aid and to keep the legacy semantics
-     * testable.
-     */
-    bool eventQueue = true;
-    /**
-     * Intra-run parallelism: partition cores and DRAM channels into this
-     * many shards, each ticked by its own worker thread under the
-     * epoch-barrier protocol (DESIGN.md §10). 1 (the default) runs the
-     * serial event-queue loop unchanged; any value produces bit-identical
-     * results and statistics — shards only trade wall-clock time for
-     * threads. Requires fastForward and eventQueue; clamped to numCores.
-     */
-    unsigned shards = 1;
 
     /**
      * Apply a textual "key=value" override (used by bench/example CLIs).

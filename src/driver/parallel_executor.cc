@@ -18,14 +18,6 @@ ParallelExecutor::defaultThreads()
     return std::max(1u, hw);
 }
 
-unsigned
-ParallelExecutor::budgetedThreads(unsigned jobs, unsigned shards)
-{
-    if (jobs != 0 || shards <= 1)
-        return jobs;
-    return std::max(1u, defaultThreads() / shards);
-}
-
 ParallelExecutor::ParallelExecutor(unsigned threads)
 {
     unsigned n = threads ? threads : defaultThreads();

@@ -64,16 +64,6 @@ class ParallelExecutor
     static unsigned defaultThreads();
 
     /**
-     * Executor width for two-level parallelism (jobs × intra-run
-     * shards, DESIGN.md §10): an explicit @p jobs wins untouched;
-     * otherwise the default width is divided by @p shards so the two
-     * axes share one thread budget — jobs × shards stays near the
-     * host core count instead of multiplying past it. Returns 0
-     * ("pick the default") when neither axis asks for anything.
-     */
-    static unsigned budgetedThreads(unsigned jobs, unsigned shards);
-
-    /**
      * Tasks executed so far (for tests / reporting). A task is counted
      * before its future becomes ready, so a caller that has seen every
      * result sees every task counted.

@@ -42,16 +42,6 @@ Icnt::pop(unsigned dest)
     return req;
 }
 
-MemRequest
-Icnt::popSharded(unsigned dest)
-{
-    MTP_ASSERT(dest < pipes_.size() && !pipes_[dest].empty(),
-               "popSharded() on empty Icnt pipe ", dest);
-    MemRequest req = std::move(pipes_[dest].front().req);
-    pipes_[dest].pop_front();
-    return req;
-}
-
 bool
 Icnt::upgradeToDemand(unsigned dest, Addr addr)
 {

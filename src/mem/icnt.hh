@@ -43,17 +43,6 @@ class Icnt
     MemRequest pop(unsigned dest);
 
     /**
-     * pop() variant for the sharded channel phase: does not touch the
-     * shared arrival min-cache, so owners of disjoint destinations may
-     * pop concurrently. The coordinator calls markMinDirty() once after
-     * the phase to re-validate the cache lazily.
-     */
-    MemRequest popSharded(unsigned dest);
-
-    /** Conservatively invalidate the cached earliest arrival. */
-    void markMinDirty() { minDirty_ = true; }
-
-    /**
      * Promote an in-flight prefetch to @p dest for block @p addr to
      * demand priority (a demand merged with it upstream).
      * @return true if a packet was upgraded.

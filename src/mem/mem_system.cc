@@ -20,9 +20,7 @@ MemSystem::MemSystem(const SimConfig &cfg)
       reqNet_(cfg.dramChannels, cfg.icntLatency),
       respNet_(cfg.numCores, cfg.icntLatency),
       inFlightToChannel_(cfg.dramChannels, 0),
-      completions_(cfg.numCores),
-      deferredUpgrades_(cfg.numCores),
-      chanCompleted_(cfg.dramChannels)
+      completions_(cfg.numCores)
 {
     mrqs_.reserve(numCores_);
     for (unsigned c = 0; c < numCores_; ++c)
@@ -44,14 +42,6 @@ MemSystem::setTracer(obs::TraceRecorder *tracer)
         channel->setTracer(tracer);
 }
 
-void
-MemSystem::setSharded(bool on)
-{
-    MTP_ASSERT(!on || !tracer_,
-               "sharded ticking is incompatible with a lifecycle tracer");
-    sharded_ = on;
-}
-
 unsigned
 MemSystem::channelOf(Addr addr) const
 {
@@ -68,8 +58,8 @@ MemSystem::issue(CoreId core, Addr blockAddr, ReqType type, Cycle now,
     bool pushed = mrqs_[core]->push(
         MemRequest::make(blockAddr, type, core, now, bytes));
     if (pushed) {
-        inTransit_.fetch_add(1, std::memory_order_relaxed);
-        mrqOccupancy_.fetch_add(1, std::memory_order_relaxed);
+        ++inTransit_;
+        ++mrqOccupancy_;
     }
     return pushed;
 }
@@ -80,18 +70,6 @@ MemSystem::upgradeToDemand(CoreId core, Addr addr)
     MTP_ASSERT(core < numCores_, "upgrade from unknown core ", core);
     if (mrqs_[core]->upgradeToDemand(addr))
         return;
-    if (sharded_) {
-        // Parallel core phase: the packet lives in the shared request
-        // network or a channel buffer, possibly owned by another shard.
-        // Park the upgrade in this core's mailbox; channel owners apply
-        // the mailboxes in ascending core order at the start of this
-        // cycle's mem phase (which hasDeferredUpgrades() forces to
-        // run), reproducing the serial call order exactly — cores tick
-        // in ascending id and nothing reads request types in between.
-        deferredUpgrades_[core].push_back(addr);
-        deferredCount_.fetch_add(1, std::memory_order_relaxed);
-        return;
-    }
     unsigned ch = channelOf(addr);
     if (reqNet_.upgradeToDemand(ch, addr))
         return;
@@ -122,9 +100,8 @@ MemSystem::injectFromPort(unsigned port, Cycle now)
                            static_cast<std::uint8_t>(mrq.head().type),
                            core, ch, now));
         reqNet_.send(ch, mrq.pop(), now);
-        MTP_ASSERT(mrqOccupancy_.load(std::memory_order_relaxed) > 0,
-                   "MRQ occupancy underflow");
-        mrqOccupancy_.fetch_sub(1, std::memory_order_relaxed);
+        MTP_ASSERT(mrqOccupancy_ > 0, "MRQ occupancy underflow");
+        --mrqOccupancy_;
         ++inFlightToChannel_[ch];
         portRR_[port] = (idx + 1) % members;
         return;
@@ -145,9 +122,8 @@ MemSystem::deliverRequests(Cycle now)
                 // Inter-core merge: two in-transit requests became one.
                 // The surviving buffered request keeps its own
                 // DramEnqueue timestamp; no new lifecycle stage.
-                MTP_ASSERT(inTransit_.load(std::memory_order_relaxed) > 0,
-                           "in-transit underflow on merge");
-                inTransit_.fetch_sub(1, std::memory_order_relaxed);
+                MTP_ASSERT(inTransit_ > 0, "in-transit underflow on merge");
+                --inTransit_;
             } else {
                 MTP_OBS_HOOK(tracer_,
                              stage(obs::Stage::DramEnqueue, addr, type,
@@ -169,14 +145,12 @@ MemSystem::tickChannel(unsigned ch, Cycle now)
     for (auto &req : completedScratch_) {
         if (req.type == ReqType::DemandStore) {
             // Stores complete without a response.
-            MTP_ASSERT(inTransit_.load(std::memory_order_relaxed) > 0,
-                       "in-transit underflow on store");
-            inTransit_.fetch_sub(1, std::memory_order_relaxed);
+            MTP_ASSERT(inTransit_ > 0, "in-transit underflow on store");
+            --inTransit_;
             continue;
         }
         // One response packet per sharer core.
-        inTransit_.fetch_add(req.sharers.size() - 1,
-                             std::memory_order_relaxed);
+        inTransit_ += req.sharers.size() - 1;
         for (std::size_t i = 1; i < req.sharers.size(); ++i) {
             MemRequest copy = req;
             respNet_.send(req.sharers[i], std::move(copy), now);
@@ -195,10 +169,9 @@ MemSystem::deliverResponses(Cycle now)
             if (completions_[core].empty())
                 deliveredTo_.push_back(core);
             completions_[core].push_back(respNet_.pop(core));
-            MTP_ASSERT(inTransit_.load(std::memory_order_relaxed) > 0,
-                       "in-transit underflow on response");
-            inTransit_.fetch_sub(1, std::memory_order_relaxed);
-            completionsPending_.fetch_add(1, std::memory_order_relaxed);
+            MTP_ASSERT(inTransit_ > 0, "in-transit underflow on response");
+            --inTransit_;
+            ++completionsPending_;
 #if MTP_OBS_ENABLED
             if (tracer_) {
                 const MemRequest &resp = completions_[core].back();
@@ -252,114 +225,6 @@ MemSystem::tickQueued(Cycle now)
         deliverResponses(now);
 }
 
-void
-MemSystem::tickShardChannels(unsigned chLo, unsigned chHi, Cycle now)
-{
-    MTP_ASSERT(sharded_, "tickShardChannels() outside sharded mode");
-    bool upgrades = hasDeferredUpgrades();
-    for (unsigned ch = chLo; ch < chHi; ++ch) {
-        // Deferred upgrades first, in ascending core order: the serial
-        // loop applied them during this cycle's core phase in exactly
-        // this order (cores tick in ascending id), and nothing read the
-        // upgraded request types in between. Upgrades to different
-        // channels touch disjoint pipes/buffers, so per-channel
-        // application commutes with the other shards'.
-        if (upgrades) {
-            for (CoreId core = 0; core < numCores_; ++core) {
-                for (Addr addr : deferredUpgrades_[core]) {
-                    if (channelOf(addr) != ch)
-                        continue;
-                    if (!reqNet_.upgradeToDemand(ch, addr))
-                        channels_[ch]->upgradeToDemand(addr);
-                }
-            }
-        }
-        // deliverRequests(), restricted to this channel. Pops bypass
-        // the shared arrival min-cache (the coordinator marks it dirty
-        // once in finishShardedTick()).
-        while (reqNet_.frontReady(ch, now) && !channels_[ch]->bufferFull()) {
-            MemRequest arrived = reqNet_.popSharded(ch);
-            if (channels_[ch]->insert(std::move(arrived))) {
-                MTP_ASSERT(inTransit_.load(std::memory_order_relaxed) > 0,
-                           "in-transit underflow on merge");
-                inTransit_.fetch_sub(1, std::memory_order_relaxed);
-            }
-            MTP_ASSERT(inFlightToChannel_[ch] > 0, "in-flight underflow");
-            --inFlightToChannel_[ch];
-        }
-        // The same horizon gate tickQueued() applies; an insert above
-        // bumped the state version and invalidated the cache entry.
-        if (channelHorizonAt(ch, now) <= now)
-            tickChannelSharded(ch, now);
-    }
-}
-
-void
-MemSystem::tickChannelSharded(unsigned ch, Cycle now)
-{
-    DramChannel &channel = *channels_[ch];
-    std::vector<MemRequest> &completed = chanCompleted_[ch];
-    MTP_ASSERT(completed.empty(), "unrouted completions in mailbox ", ch);
-    channel.tick(now, completed);
-    // Stores retire without a response; drop them here (their counter
-    // update is a commutative sum). Load responses stay parked for the
-    // coordinator to route in ascending channel order.
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < completed.size(); ++i) {
-        if (completed[i].type == ReqType::DemandStore) {
-            MTP_ASSERT(inTransit_.load(std::memory_order_relaxed) > 0,
-                       "in-transit underflow on store");
-            inTransit_.fetch_sub(1, std::memory_order_relaxed);
-            continue;
-        }
-        if (keep != i)
-            completed[keep] = std::move(completed[i]);
-        ++keep;
-    }
-    completed.resize(keep);
-}
-
-void
-MemSystem::finishShardedTick(Cycle now)
-{
-    deliveredTo_.clear();
-    // Shard-side pops bypassed the request net's arrival min-cache;
-    // one conservative invalidation re-validates it lazily.
-    reqNet_.markMinDirty();
-    // Route parked completions exactly as the serial channel loop
-    // would have: ascending channel order, in completion order, with
-    // the per-sharer fan-out of tickChannel().
-    for (unsigned ch = 0; ch < channels_.size(); ++ch) {
-        for (MemRequest &req : chanCompleted_[ch]) {
-            inTransit_.fetch_add(req.sharers.size() - 1,
-                                 std::memory_order_relaxed);
-            for (std::size_t i = 1; i < req.sharers.size(); ++i) {
-                MemRequest copy = req;
-                respNet_.send(req.sharers[i], std::move(copy), now);
-            }
-            CoreId first = req.sharers.front();
-            respNet_.send(first, std::move(req), now);
-        }
-        chanCompleted_[ch].clear();
-    }
-    // Injection arbitration (shared ports, shared request net) and
-    // response delivery (shared pipes) are inherently serial and
-    // cheap; the gates match tickQueued()'s.
-    if (mrqOccupancy_.load(std::memory_order_relaxed) > 0) {
-        for (unsigned port = 0; port < portRR_.size(); ++port)
-            injectFromPort(port, now);
-    }
-    if (respNet_.nextArrivalAt() <= now)
-        deliverResponses(now);
-    // This cycle's upgrade mailboxes were fully applied by the channel
-    // owners above.
-    if (hasDeferredUpgrades()) {
-        for (auto &list : deferredUpgrades_)
-            list.clear();
-        deferredCount_.store(0, std::memory_order_relaxed);
-    }
-}
-
 const std::vector<MemRequest> &
 MemSystem::completions(CoreId core) const
 {
@@ -372,45 +237,21 @@ MemSystem::clearCompletions(CoreId core)
 {
     MTP_ASSERT(core < numCores_, "clearCompletions() for unknown core ",
                core);
-    MTP_ASSERT(completionsPending_.load(std::memory_order_relaxed) >=
-                   completions_[core].size(),
+    MTP_ASSERT(completionsPending_ >= completions_[core].size(),
                "pending-completion counter underflow");
-    completionsPending_.fetch_sub(completions_[core].size(),
-                                  std::memory_order_relaxed);
+    completionsPending_ -= completions_[core].size();
     completions_[core].clear();
 }
 
 bool
 MemSystem::drained() const
 {
-    bool fast = inTransit_.load(std::memory_order_relaxed) == 0 &&
-                completionsPending_.load(std::memory_order_relaxed) == 0;
+    bool fast = inTransit_ == 0 && completionsPending_ == 0;
 #if MTP_SLOW_CHECKS
     MTP_ASSERT(fast == drainedScan(),
                "in-transit counters disagree with exhaustive scan");
 #endif
     return fast;
-}
-
-Cycle
-MemSystem::nextEventAt(Cycle now) const
-{
-    // Occupied MRQs arbitrate for injection every cycle, and delivered
-    // completions are drained by their core next cycle: no skipping.
-    if (completionsPending_.load(std::memory_order_relaxed) > 0 ||
-        mrqOccupancy_.load(std::memory_order_relaxed) > 0)
-        return now;
-    Cycle e = std::min(reqNet_.nextArrivalAt(), respNet_.nextArrivalAt());
-    if (e <= now)
-        return now;
-    for (const auto &channel : channels_) {
-        Cycle c = channel->nextEventAt(now);
-        if (c <= now)
-            return now;
-        if (c < e)
-            e = c;
-    }
-    return e;
 }
 
 Cycle
@@ -460,10 +301,10 @@ Cycle
 MemSystem::nextSelfEventAt(Cycle now) const
 {
     // Occupied MRQs arbitrate for injection every cycle: no skipping.
-    // Unlike nextEventAt(), pending completions do not pin the bound —
-    // the event-queue loop arms the receiving cores directly and each
-    // drains its list on its own next tick.
-    if (mrqOccupancy_.load(std::memory_order_relaxed) > 0)
+    // Pending completions do not pin the bound — the event-queue loop
+    // arms the receiving cores directly and each drains its list on
+    // its own next tick.
+    if (mrqOccupancy_ > 0)
         return now;
     Cycle e = std::min(reqNet_.nextArrivalAt(), respNet_.nextArrivalAt());
     if (e <= now)

@@ -11,7 +11,6 @@
 #ifndef MTP_MEM_MEM_SYSTEM_HH
 #define MTP_MEM_MEM_SYSTEM_HH
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -56,53 +55,9 @@ class MemSystem
      * DramChannel::stateVersion()), and injection on MRQ occupancy. A
      * skipped phase is provably a no-op (it would neither move a
      * request nor touch a counter), so results stay bit-identical with
-     * tick(); the naive and legacy loops keep calling tick() as the
-     * oracle.
+     * tick(); the naive loop keeps calling tick() as the oracle.
      */
     void tickQueued(Cycle now);
-
-    /**
-     * Enable the sharded tick protocol (DESIGN.md §10): cross-shard
-     * upgradeToDemand() calls are parked in per-core mailboxes instead
-     * of applied inline, and the per-cycle tick is split into the
-     * parallel tickShardChannels() and the serial finishShardedTick().
-     * Incompatible with an attached lifecycle tracer (hooks would fire
-     * inside parallel phases).
-     */
-    void setSharded(bool on);
-
-    /**
-     * @return true iff upgrade requests deferred by the current cycle's
-     * core phase await application. Forces the epoch loop to run a mem
-     * phase this cycle so mailboxes never survive a cycle boundary
-     * (their drain order — ascending core id — then matches the serial
-     * call order exactly).
-     */
-    bool
-    hasDeferredUpgrades() const
-    {
-        return deferredCount_.load(std::memory_order_relaxed) > 0;
-    }
-
-    /**
-     * Sharded mem phase, worker side: for each owned channel in
-     * [chLo, chHi), apply this cycle's deferred upgrades (ascending
-     * core order), deliver due request packets, and run the
-     * horizon-gated channel tick, parking load completions in the
-     * channel's mailbox. Touches only channel-local state plus relaxed
-     * shared counters; safe to run concurrently for disjoint channel
-     * ranges between epoch barriers.
-     */
-    void tickShardChannels(unsigned chLo, unsigned chHi, Cycle now);
-
-    /**
-     * Sharded mem phase, coordinator tail (all workers at the barrier):
-     * route parked completions into the response network in ascending
-     * channel order — byte-identical to the serial channel loop's send
-     * order — then run injection arbitration and response delivery
-     * exactly as tickQueued() would.
-     */
-    void finishShardedTick(Cycle now);
 
     /**
      * Cores whose completion list went non-empty during the last
@@ -116,11 +71,7 @@ class MemSystem
     }
 
     /** Requests currently waiting in core MRQs. */
-    std::uint64_t
-    mrqOccupancy() const
-    {
-        return mrqOccupancy_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t mrqOccupancy() const { return mrqOccupancy_; }
 
     /**
      * Responses delivered to @p core and not yet consumed. The core
@@ -156,21 +107,16 @@ class MemSystem
     bool drainedScan() const;
 
     /**
-     * Earliest cycle >= @p now at which the memory system might act:
-     * deliver a network packet, schedule or retire a DRAM request, or
-     * hand a completion to a core. Never later than the true next state
-     * change (the event-horizon contract); returns invalidCycle when
-     * fully drained.
-     */
-    Cycle nextEventAt(Cycle now) const;
-
-    /**
-     * Self-scheduling bound for the event-queue loop: like
-     * nextEventAt() but without the pending-completion pin — delivered
-     * completions wake their core directly (deliveredCores()), so they
-     * are the core's obligation, not the memory system's. Non-empty
-     * MRQs still pin the bound to @p now (they arbitrate for injection
-     * every cycle). Uses the per-channel horizon cache.
+     * Self-scheduling bound for the event-queue loop: the earliest
+     * cycle >= @p now at which the memory system might deliver a
+     * network packet or schedule or retire a DRAM request — never later
+     * than the true next state change (the event-horizon contract);
+     * invalidCycle when nothing is in flight. Non-empty MRQs pin the
+     * bound to @p now (they arbitrate for injection every cycle).
+     * Pending completions do not: delivered completions wake their
+     * core directly (deliveredCores()), so they are the core's
+     * obligation, not the memory system's. Uses the per-channel
+     * horizon cache.
      */
     Cycle nextSelfEventAt(Cycle now) const;
 
@@ -187,8 +133,8 @@ class MemSystem
      * Injection attempts skipped by credit gating: cycles in which a
      * port inspected a non-empty MRQ whose head could not inject
      * because its target channel had no credits. Skip-safe: a non-empty
-     * MRQ already pins nextEventAt() to the current cycle, so skipped
-     * cycles never hide an attempt.
+     * MRQ already pins nextSelfEventAt() to the current cycle, so
+     * skipped cycles never hide an attempt.
      */
     std::uint64_t injCreditStalls() const { return injCreditStalls_; }
 
@@ -209,11 +155,6 @@ class MemSystem
     void deliverRequests(Cycle now);
     void tickChannel(unsigned ch, Cycle now);
     void deliverResponses(Cycle now);
-
-    /** tickChannel() variant that parks load completions in the
-     *  channel's mailbox instead of sending responses (the response
-     *  network is shared; the coordinator routes them). */
-    void tickChannelSharded(unsigned ch, Cycle now);
 
     /**
      * Cached nextEventAt() of channel @p ch, recomputed only when the
@@ -236,16 +177,7 @@ class MemSystem
     std::vector<MemRequest> completedScratch_;
     std::vector<CoreId> deliveredTo_; //!< cores woken by the last tick
 
-    /**
-     * Per-channel horizon cache entry (see channelHorizonAt()). The
-     * hit/miss counters live here, plain, rather than as shared
-     * atomics: horizon queries are the hottest path of a skip-heavy
-     * run, and under the sharded protocol each entry is only ever
-     * touched by its channel's owner within a phase (the coordinator
-     * reads all entries, but only while the workers are parked), so a
-     * plain increment inherits the same safety argument as the cached
-     * version/horizon fields themselves.
-     */
+    /** Per-channel horizon cache entry (see channelHorizonAt()). */
     struct ChanHorizon
     {
         std::uint64_t version = ~0ULL;
@@ -260,27 +192,11 @@ class MemSystem
      * in service, or as undelivered responses). Inter-core merges and
      * per-sharer response fan-out adjust the count so that drained()
      * is a counter comparison instead of a full scan.
-     *
-     * Atomic with relaxed ordering: under the sharded protocol several
-     * shards adjust these inside one phase, but every adjustment is a
-     * commutative sum and every read happens on the far side of an
-     * epoch barrier, so the observed values are exactly the serial
-     * loop's (DESIGN.md §10).
      */
-    std::atomic<std::uint64_t> inTransit_ {0};
-    std::atomic<std::uint64_t> mrqOccupancy_ {0}; //!< still in an MRQ
-    std::atomic<std::uint64_t> completionsPending_ {0}; //!< await drain
+    std::uint64_t inTransit_ = 0;
+    std::uint64_t mrqOccupancy_ = 0;       //!< still in an MRQ
+    std::uint64_t completionsPending_ = 0; //!< await drain
     std::uint64_t injCreditStalls_ = 0;    //!< credit-gated inject skips
-
-    // Sharded-protocol state (DESIGN.md §10).
-    bool sharded_ = false;
-    /** Per-core upgrade mailboxes: owner-written during the parallel
-     *  core phase, drained same-cycle by channel owners in ascending
-     *  core order, cleared by finishShardedTick(). */
-    std::vector<std::vector<Addr>> deferredUpgrades_;
-    std::atomic<std::uint64_t> deferredCount_ {0};
-    /** Per-channel completion mailboxes for tickChannelSharded(). */
-    std::vector<std::vector<MemRequest>> chanCompleted_;
 
     obs::TraceRecorder *tracer_ = nullptr;
 };

@@ -6,13 +6,12 @@
  * when a run crashes or stops making progress:
  *
  *  - Gauges: a fixed pool of named atomic cells that long-lived
- *    engine loops keep current (per-run simulated cycle and epoch,
- *    per-shard last command, executor queue depth). Updating a held
- *    gauge is one relaxed store.
+ *    engine loops keep current (per-run simulated cycle, executor
+ *    queue depth). Updating a held gauge is one relaxed store.
  *  - Progress beats: a global counter bumped at coarse liveness
- *    points (every epoch, every completed executor task, every
- *    campaign progress sample). A healthy engine beats continuously;
- *    a deadlocked or livelocked one stops.
+ *    points (stepped cycles at multiples of 128, every completed
+ *    executor task, every campaign progress sample). A healthy engine
+ *    beats continuously; a deadlocked or livelocked one stops.
  *  - Watchdog: a deadline thread that fires once when the beat
  *    counter stays frozen for a full deadline window, dumping gauges,
  *    beats, and the profiler's last ring events to stderr and

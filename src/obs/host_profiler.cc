@@ -22,9 +22,7 @@ toString(HostPhase p)
       case HostPhase::Dispatch: return "dispatch";
       case HostPhase::CoreTick: return "core_tick";
       case HostPhase::MemTick: return "mem_tick";
-      case HostPhase::MailboxDrain: return "mailbox_drain";
       case HostPhase::HorizonSkip: return "horizon_skip";
-      case HostPhase::BarrierWait: return "barrier_wait";
       case HostPhase::ExecWait: return "exec_wait";
       case HostPhase::Sample: return "sample";
       case HostPhase::Summarize: return "summarize";

@@ -3,9 +3,9 @@
  * Host-side wall-clock profiler for the simulation *engine* itself
  * (DESIGN.md §12). The PR-3 observability stack answers "what is the
  * simulated GPU doing"; this layer answers "where does the simulator's
- * own wall-clock go" — per executor worker, per shard worker, per
- * engine phase (dispatch, core tick, memory tick, mailbox drain,
- * barrier wait, cache lookup, summarize, ...).
+ * own wall-clock go" — per executor worker, per engine phase
+ * (dispatch, core tick, memory tick, horizon skip, executor wait,
+ * cache lookup, summarize, ...).
  *
  * Design constraints, in order:
  *
@@ -29,7 +29,7 @@
  *
  * Wall-clock accounting contract (what `mtp-report host` sums):
  * per thread, every *outermost* scope span accrues to `activeNs`, and
- * every wait-class span (BarrierWait, ExecWait) accrues to `waitNs`
+ * every wait-class span (ExecWait) accrues to `waitNs`
  * regardless of nesting depth. Therefore per thread over a profiling
  * window of W ns:
  *
@@ -61,11 +61,9 @@ enum class HostPhase : std::uint8_t
     CacheInsert,  //!< RunCache miss path: entry insert + task submit
     RunTask,      //!< one whole executor task (usually one simulate())
     Dispatch,     //!< block-dispatcher phase of the cycle loop
-    CoreTick,     //!< core tick phase (per shard)
-    MemTick,      //!< memory-system tick phase (per shard)
-    MailboxDrain, //!< serial cross-shard mailbox drain
-    HorizonSkip,  //!< joint event-horizon computation + fast-forward
-    BarrierWait,  //!< EpochBarrier wait (spin + futex park)
+    CoreTick,     //!< core tick phase
+    MemTick,      //!< memory-system tick phase
+    HorizonSkip,  //!< event-horizon lookup + fast-forward
     ExecWait,     //!< executor worker idle, parked on the task condvar
     Sample,       //!< observability sampling / warp-sample bookkeeping
     Summarize,    //!< end-of-run stat summarize
@@ -80,13 +78,13 @@ const char *toString(HostPhase p);
 constexpr bool
 isWaitPhase(HostPhase p)
 {
-    return p == HostPhase::BarrierWait || p == HostPhase::ExecWait;
+    return p == HostPhase::ExecWait;
 }
 
 /**
  * Process-wide host profiler. All state is static: the engine has
- * exactly one wall-clock, and instrumentation sites (executor loops,
- * shard workers) outlive any single run.
+ * exactly one wall-clock, and instrumentation sites (executor loops)
+ * outlive any single run.
  */
 class HostProfiler
 {
@@ -140,7 +138,7 @@ class HostProfiler
     static void disable();
 
     /**
-     * Name the calling thread in reports ("exec0", "shard2"). First
+     * Name the calling thread in reports ("exec0", "main"). First
      * call wins; later calls on a named thread are ignored (the name
      * is published once so readers never race a rewrite).
      */

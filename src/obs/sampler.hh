@@ -7,8 +7,8 @@
  *
  * Interaction with event-driven cycle skipping: sampling is read-only,
  * but it must *happen* at the right cycles, so the sampler exposes
- * nextSampleAt() and the GPU folds it into its nextEventAt() bound —
- * a skip never jumps a sample boundary (the same event-horizon
+ * nextSampleAt() and the GPU arms its event-queue sampler slot with it
+ * — a skip never jumps a sample boundary (the same event-horizon
  * contract every component obeys; DESIGN.md §7/§8). Because a skipped
  * cycle's step() is a no-op for every component, stopping a skip at a
  * boundary and stepping through it cannot change simulation state, so
@@ -69,8 +69,8 @@ class Sampler
 
     /**
      * The next sample boundary, or invalidCycle when inactive. The
-     * GPU's nextEventAt() takes the min with this so cycle skipping
-     * stops at every boundary.
+     * GPU's event queue arms the sampler at this cycle, so cycle
+     * skipping stops at every boundary.
      */
     Cycle
     nextSampleAt() const

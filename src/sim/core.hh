@@ -91,8 +91,8 @@ class Core
      * issuable warp ready), or run an observable periodic update. A
      * pending LSU operation pins the bound to @p now (stalled LSUs
      * retry — and count MSHR-full stalls — every cycle). Memory
-     * completions are accounted by MemSystem::nextEventAt(). Never
-     * later than the true next state change (the event-horizon
+     * completions wake the core separately (MemSystem::deliveredCores()).
+     * Never later than the true next state change (the event-horizon
      * contract).
      */
     Cycle nextEventAt(Cycle now) const;

@@ -1,9 +1,7 @@
 /**
  * @file
  * Scheduling infrastructure for the event-queue cycle loop (DESIGN.md
- * §7): an indexed priority structure over the GPU's components plus
- * the backoff policy the legacy polling loop uses between failed skip
- * attempts.
+ * §7): an indexed priority structure over the GPU's components.
  */
 
 #ifndef MTP_SIM_EVENT_QUEUE_HH
@@ -112,61 +110,6 @@ class EventQueue
     mutable bool minDirty_ = false;
     std::uint64_t pushes_ = 0;
     std::uint64_t pops_ = 0;
-};
-
-/**
- * Exponential backoff between failed skip attempts of the legacy
- * polling loop: after a failed attempt (the event bound landed on the
- * very next cycle) the loop steps a growing number of cycles before
- * re-evaluating the bound, so event-dense phases don't pay the O(n)
- * poll every cycle. The exponent is capped — an unbounded
- * `1u << failures` shifts past the width of unsigned on long dense
- * runs, which is undefined behaviour — and stepping through skippable
- * cycles is exactly what the naive loop does, so backing off can never
- * change results, only forgo some speedup.
- */
-class SkipBackoff
-{
-  public:
-    /** Largest exponent: pauses cap at 2^maxExponent cycles. */
-    static constexpr unsigned maxExponent = 3;
-
-    /**
-     * @return true when the loop should evaluate the event bound this
-     * cycle; false consumes one cycle of the current pause.
-     */
-    bool
-    shouldAttempt()
-    {
-        if (pause_ > 0) {
-            --pause_;
-            return false;
-        }
-        return true;
-    }
-
-    /** A skip succeeded: reset the pause schedule. */
-    void
-    noteSuccess()
-    {
-        failures_ = 0;
-        pause_ = 0;
-    }
-
-    /** A skip attempt failed: back off exponentially (capped). */
-    void
-    noteFailure()
-    {
-        failures_ = std::min(failures_ + 1, maxExponent);
-        pause_ = 1u << failures_;
-    }
-
-    /** Cycles left in the current pause (exposed for tests). */
-    unsigned pause() const { return pause_; }
-
-  private:
-    unsigned failures_ = 0;
-    unsigned pause_ = 0;
 };
 
 } // namespace mtp

@@ -98,9 +98,6 @@ Gpu::attachObserver(obs::Observer *obs)
     obs_ = obs;
     obs::TraceRecorder *tracer = obs->tracer();
     if (tracer) {
-        // Lifecycle hooks fire inside component ticks; a traced run
-        // falls back to the serial schedule (effectiveShards() == 1).
-        tracerAttached_ = true;
         mem_->setTracer(tracer);
         for (auto &core : cores_)
             core->setTracer(tracer);
@@ -325,47 +322,6 @@ Gpu::doneScan() const
     return mem_->drainedScan();
 }
 
-Cycle
-Gpu::nextEventAt() const
-{
-    // A dispatchable block is an immediate event.
-    if (pendingBlocks_ > 0) {
-        if (!cfg_.dispatchContiguous) {
-            for (const auto &core : cores_) {
-                if (core->hasBlockCapacity())
-                    return now_;
-            }
-        } else {
-            for (CoreId c = 0; c < cores_.size(); ++c) {
-                if (nextBlockOfCore_[c] < endBlockOfCore_[c] &&
-                    cores_[c]->hasBlockCapacity())
-                    return now_;
-            }
-        }
-    }
-    Cycle e = mem_->nextEventAt(now_);
-    if (e <= now_)
-        return now_;
-    for (const auto &core : cores_) {
-        Cycle c = core->nextEventAt(now_);
-        if (c <= now_)
-            return now_;
-        if (c < e)
-            e = c;
-    }
-#if MTP_OBS_ENABLED
-    // Sampling is an observable event: a skip must stop at the next
-    // sample boundary so the sampler runs at exactly the same cycles as
-    // in the naive loop (invalidCycle when inactive — no effect).
-    if (obs_) {
-        Cycle sample = obs_->sampler().nextSampleAt();
-        if (sample < e)
-            e = sample;
-    }
-#endif
-    return e;
-}
-
 void
 Gpu::bulkWarpSamples(Cycle from, Cycle to)
 {
@@ -385,60 +341,13 @@ Gpu::bulkWarpSamples(Cycle from, Cycle to)
     }
 }
 
-void
-Gpu::skipTo(Cycle target)
-{
-    MTP_ASSERT(target > now_, "skipTo() not moving forward");
-#if MTP_SLOW_CHECKS && MTP_OBS_ENABLED
-    if (obs_)
-        MTP_ASSERT(target <= obs_->sampler().nextSampleAt(),
-                   "cycle skip would jump a sample boundary");
-#endif
-    bulkWarpSamples(now_, target);
-    if (!cfg_.dispatchContiguous) {
-        // The round-robin dispatch origin rotates every cycle, even
-        // when nothing dispatches.
-        auto n = static_cast<unsigned>(cores_.size());
-        rrStartCore_ = static_cast<unsigned>(
-            (rrStartCore_ + (target - now_)) % n);
-    }
-    // Attribute the skipped cycles of every core to stall categories;
-    // the analytic split mirrors the nextEventAt() reasoning that
-    // justified the skip.
-    for (auto &core : cores_)
-        core->accountSkip(now_, target);
-    now_ = target;
-}
-
-unsigned
-Gpu::effectiveShards() const
-{
-    unsigned s = std::min(cfg_.shards,
-                          static_cast<unsigned>(cores_.size()));
-    if (s == 0)
-        s = 1;
-    if (tracerAttached_)
-        s = 1;
-    return s;
-}
-
 RunResult
 Gpu::run()
 {
-    if (!cfg_.fastForward) {
+    if (cfg_.fastForward)
+        runQueued();
+    else
         runNaive();
-    } else if (!cfg_.eventQueue) {
-        runLegacy();
-    } else {
-        ranShards_ = effectiveShards();
-        if (ranShards_ > 1) {
-            mem_->setSharded(true);
-            runSharded(ranShards_);
-            mem_->setSharded(false);
-        } else {
-            runQueued();
-        }
-    }
     RunResult result = summarize();
 #if MTP_OBS_ENABLED
     if (obs_)
@@ -456,38 +365,6 @@ Gpu::runNaive()
                       cfg_.maxCycles, " cycles; likely deadlock or ",
                       "an unreasonable configuration");
         step();
-    }
-}
-
-void
-Gpu::runLegacy()
-{
-    // Failed skip attempts (an event due this very cycle) back off
-    // exponentially so event-dense phases don't pay the bound
-    // computation every cycle. Stepping through skippable cycles is
-    // exactly what the naive loop does, so attempting less often can
-    // never change results — only forgo some speedup.
-    SkipBackoff backoff;
-    while (!done()) {
-        if (now_ >= cfg_.maxCycles)
-            MTP_FATAL("simulation of '", kernel_.name, "' exceeded ",
-                      cfg_.maxCycles, " cycles; likely deadlock or ",
-                      "an unreasonable configuration");
-        step();
-        if (!done() && backoff.shouldAttempt()) {
-            // Skip cycles in which no component can act. Capping at
-            // maxCycles keeps the deadlock diagnostic identical.
-            ++sched_.skipAttempts;
-            Cycle target = std::min(nextEventAt(), cfg_.maxCycles);
-            if (target > now_) {
-                sched_.cyclesSkipped += target - now_;
-                ++sched_.skipSuccesses;
-                skipTo(target);
-                backoff.noteSuccess();
-            } else {
-                backoff.noteFailure();
-            }
-        }
     }
 }
 
@@ -562,8 +439,9 @@ Gpu::runQueued()
                     continue;
                 queue_.notePop();
                 Core &core = *cores_[c];
-                // Settle the parked window first: its cycles carry the
-                // same stall attribution a skipTo() would have applied.
+                // Settle the parked window first: accountSkip() gives its
+                // cycles the stall attribution their no-op ticks would
+                // have recorded.
                 if (coreSettledTo_[c] < t)
                     core.accountSkip(coreSettledTo_[c], t);
                 bool was_busy = !core.idle();
@@ -654,317 +532,6 @@ Gpu::runQueued()
 #endif
 }
 
-namespace {
-
-// EpochBarrier commands: the cycle to execute, tagged with the phase.
-constexpr std::uint64_t kCmdCoreTick = 0;
-constexpr std::uint64_t kCmdMemTick = 1;
-constexpr std::uint64_t kCmdExit = 2;
-
-inline std::uint64_t
-encodeCmd(Cycle t, std::uint64_t op)
-{
-    return (static_cast<std::uint64_t>(t) << 2) | op;
-}
-
-} // namespace
-
-void
-Gpu::shardCoreTick(unsigned s, Cycle t)
-{
-    ShardState &sh = shards_[s];
-    EventQueue &q = sh.queue;
-    unsigned busy_delta = 0;
-    bool wake = false;
-    // The exact per-core body of runQueued()'s core phase, restricted
-    // to the owned range: everything it touches — the core, its MRQ,
-    // its settle cursor, its queue slot — is shard-local; the issue()
-    // counters it bumps are relaxed atomics (commutative sums).
-    for (CoreId c = sh.coreLo; c < sh.coreHi; ++c) {
-        if (q.key(c - sh.coreLo) > t)
-            continue;
-        q.notePop();
-        Core &core = *cores_[c];
-        if (coreSettledTo_[c] < t)
-            core.accountSkip(coreSettledTo_[c], t);
-        bool was_busy = !core.idle();
-        bool had_capacity = core.hasBlockCapacity();
-        ++sh.coreTicks;
-        core.tick(t);
-        if (was_busy && core.idle())
-            ++busy_delta;
-        coreSettledTo_[c] = t + 1;
-        q.arm(c - sh.coreLo, core.nextEventAt(t + 1));
-        if (!had_capacity && core.hasBlockCapacity() &&
-            blocksPendingFor(c))
-            wake = true;
-    }
-    sh.busyDelta = busy_delta;
-    sh.wakeDispatch = wake;
-}
-
-void
-Gpu::shardMemTick(unsigned s, Cycle t)
-{
-    const ShardState &sh = shards_[s];
-    if (sh.chanLo < sh.chanHi)
-        mem_->tickShardChannels(sh.chanLo, sh.chanHi, t);
-}
-
-void
-Gpu::shardWorker(unsigned s)
-{
-    // Workers serve shards 1..S-1; barrier slot ids are 0-based.
-    const unsigned slot = s - 1;
-#if MTP_OBS_ENABLED
-    const bool hp = obs::HostProfiler::enabled();
-    if (hp)
-        obs::HostProfiler::nameThread(
-            ("shard" + std::to_string(s)).c_str());
-    // Liveness gauge: the last epoch cycle this shard started work on.
-    obs::FlightRecorder::Gauge gCycle = obs::FlightRecorder::acquireGauge(
-        "run" + std::to_string(hostRunSeq_) + ".shard" +
-        std::to_string(s) + ".cycle");
-#endif
-    for (;;) {
-        std::uint64_t cmd;
-        {
-            MTP_HOST_SCOPE(hostWait, BarrierWait);
-            cmd = barrier_->awaitCommand(slot);
-        }
-        Cycle t = static_cast<Cycle>(cmd >> 2);
-#if MTP_OBS_ENABLED
-        gCycle.set(static_cast<std::uint64_t>(t));
-#endif
-        switch (cmd & 3) {
-          case kCmdCoreTick: {
-            MTP_HOST_SCOPE(hostCore, CoreTick);
-            shardCoreTick(s, t);
-            break;
-          }
-          case kCmdMemTick: {
-            MTP_HOST_SCOPE(hostMem, MemTick);
-            shardMemTick(s, t);
-            break;
-          }
-          default:
-#if MTP_OBS_ENABLED
-            obs::FlightRecorder::releaseGauge(gCycle);
-#endif
-            return;
-        }
-        barrier_->arrive(slot);
-    }
-}
-
-void
-Gpu::runSharded(unsigned numShards)
-{
-    const auto n = static_cast<unsigned>(cores_.size());
-    const unsigned S = numShards;
-    const unsigned C = mem_->numChannels();
-    MTP_ASSERT(S > 1 && S <= n, "bad shard count ", S);
-
-    // Coordinator queue slots; cores live in the shard queues.
-    constexpr std::size_t memId = 0;
-    constexpr std::size_t dispatchId = 1;
-    constexpr std::size_t samplerId = 2;
-    queue_.reset(3);
-    coreSettledTo_.assign(n, 0);
-    rrSyncedAt_ = 0;
-    queue_.arm(samplerId, invalidCycle);
-#if MTP_OBS_ENABLED
-    if (obs_)
-        queue_.arm(samplerId, obs_->sampler().nextSampleAt());
-#endif
-
-    // Balanced contiguous partitions; trailing shards may own zero
-    // channels when C < S (their mem phase is then a no-op).
-    shards_.assign(S, ShardState{});
-    shardOfCore_.assign(n, 0);
-    for (unsigned s = 0; s < S; ++s) {
-        ShardState &sh = shards_[s];
-        sh.coreLo = n * s / S;
-        sh.coreHi = n * (s + 1) / S;
-        sh.chanLo = C * s / S;
-        sh.chanHi = C * (s + 1) / S;
-        sh.queue.reset(sh.coreHi - sh.coreLo); // all due at cycle 0
-        for (CoreId c = sh.coreLo; c < sh.coreHi; ++c)
-            shardOfCore_[c] = s;
-    }
-#if MTP_OBS_ENABLED
-    const bool hp = obs::HostProfiler::enabled();
-    hostRunSeq_ = nextHostRunSeq(); // before workers read it
-    obs::FlightRecorder::Gauge gCycle = obs::FlightRecorder::acquireGauge(
-        "run" + std::to_string(hostRunSeq_) + ".cycle");
-    obs::FlightRecorder::Gauge gEpoch = obs::FlightRecorder::acquireGauge(
-        "run" + std::to_string(hostRunSeq_) + ".epoch");
-#endif
-    barrier_ = std::make_unique<EpochBarrier>(S - 1);
-    workers_.clear();
-    workers_.reserve(S - 1);
-    for (unsigned s = 1; s < S; ++s)
-        workers_.emplace_back([this, s] { shardWorker(s); });
-
-    while (!done()) {
-        if (now_ >= cfg_.maxCycles)
-            MTP_FATAL("simulation of '", kernel_.name, "' exceeded ",
-                      cfg_.maxCycles, " cycles; likely deadlock or ",
-                      "an unreasonable configuration");
-        const Cycle t = now_;
-        ++sched_.cyclesStepped;
-#if MTP_SLOW_CHECKS
-        // Same parked-component invariants as runQueued(); checked at
-        // the coordinator while every worker is parked at the barrier.
-        for (CoreId c = 0; c < n; ++c) {
-            const ShardState &sh = shards_[shardOfCore_[c]];
-            if (sh.queue.key(c - sh.coreLo) > t)
-                MTP_ASSERT(cores_[c]->nextEventAt(t) > t &&
-                               mem_->completions(c).empty(),
-                           "parked core ", c, " is actionable at ", t);
-        }
-        MTP_ASSERT(!mem_->hasDeferredUpgrades(),
-                   "upgrade mailboxes survived a cycle boundary");
-        if (queue_.key(memId) > t)
-            MTP_ASSERT(mem_->mrqOccupancy() == 0 &&
-                           mem_->nextSelfEventAt(t) > t,
-                       "parked memory system is actionable at ", t);
-        if (queue_.key(dispatchId) > t)
-            MTP_ASSERT(!dispatchPossible(),
-                       "parked dispatcher is actionable at ", t);
-#endif
-        // Dispatch stays serial (one shared grid cursor set); it arms
-        // dispatched cores on their owning shard's queue.
-        if (queue_.key(dispatchId) <= t) {
-            MTP_HOST_SCOPE(hostDispatch, Dispatch);
-            queue_.notePop();
-            if (!cfg_.dispatchContiguous && t > rrSyncedAt_)
-                rrStartCore_ = static_cast<unsigned>(
-                    (rrStartCore_ + (t - rrSyncedAt_)) % n);
-            dispatchBlocks();
-            rrSyncedAt_ = t + 1; // dispatchBlocks rotated once itself
-            for (CoreId c : dispatchedScratch_) {
-                ShardState &sh = shards_[shardOfCore_[c]];
-                sh.queue.armEarlier(c - sh.coreLo, t);
-            }
-            queue_.arm(dispatchId,
-                       dispatchPossible() ? t + 1 : invalidCycle);
-        }
-        // Core phase: every shard in parallel, coordinator as shard 0.
-        {
-            MTP_HOST_SCOPE(hostCores, CoreTick);
-            barrier_->release(encodeCmd(t, kCmdCoreTick));
-            shardCoreTick(0, t);
-            {
-                MTP_HOST_SCOPE(hostWait, BarrierWait);
-                barrier_->awaitAll();
-            }
-        }
-        for (ShardState &sh : shards_) {
-            MTP_ASSERT(busyCores_ >= sh.busyDelta, "busy-core underflow");
-            busyCores_ -= sh.busyDelta;
-            if (sh.wakeDispatch)
-                queue_.armEarlier(dispatchId, t + 1);
-        }
-        // Mem phase: the runQueued() gate plus deferred upgrades —
-        // running it then is a no-op except the upgrade application
-        // (which the serial loop performed inside this same cycle).
-        if (queue_.key(memId) <= t || mem_->mrqOccupancy() > 0 ||
-            mem_->hasDeferredUpgrades()) {
-            queue_.notePop();
-            {
-                MTP_HOST_SCOPE(hostMem, MemTick);
-                barrier_->release(encodeCmd(t, kCmdMemTick));
-                shardMemTick(0, t);
-                {
-                    MTP_HOST_SCOPE(hostWait, BarrierWait);
-                    barrier_->awaitAll();
-                }
-            }
-            {
-                MTP_HOST_SCOPE(hostDrain, MailboxDrain);
-                mem_->finishShardedTick(t);
-            }
-            for (CoreId c : mem_->deliveredCores()) {
-                ShardState &sh = shards_[shardOfCore_[c]];
-                sh.queue.armEarlier(c - sh.coreLo, t + 1);
-            }
-            queue_.arm(memId, mem_->nextSelfEventAt(t + 1));
-        }
-        if ((t & 127) == 0) {
-            for (auto &core : cores_) {
-                unsigned a = core->activeWarps();
-                if (a > 0) {
-                    activeWarpSum_ += a;
-                    ++activeWarpSamples_;
-                }
-            }
-        }
-#if MTP_OBS_ENABLED
-        if (obs_ && queue_.key(samplerId) <= t) {
-            MTP_HOST_SCOPE(hostSample, Sample);
-            queue_.notePop();
-            for (CoreId c = 0; c < n; ++c) {
-                if (coreSettledTo_[c] <= t) {
-                    cores_[c]->accountSkip(coreSettledTo_[c], t + 1);
-                    coreSettledTo_[c] = t + 1;
-                }
-            }
-            obs_->sampler().sample(t);
-            obs_->recordHostSync(t);
-            queue_.arm(samplerId, obs_->sampler().nextSampleAt());
-        }
-#endif
-        now_ = t + 1;
-        bool finished = done();
-        if (!finished) {
-            MTP_HOST_SCOPE(hostSkip, HorizonSkip);
-            // Jump to the joint cross-shard horizon: the earliest
-            // armed cycle over the coordinator queue and every shard
-            // queue. No component of any shard can act before it, so
-            // the whole window is barrier-free.
-            ++sched_.skipAttempts;
-            Cycle next = queue_.earliest();
-            for (ShardState &sh : shards_)
-                next = std::min(next, sh.queue.earliest());
-            Cycle target = std::min(next, cfg_.maxCycles);
-            if (target > now_) {
-                bulkWarpSamples(now_, target);
-                sched_.cyclesSkipped += target - now_;
-                ++sched_.skipSuccesses;
-                now_ = target;
-            }
-        }
-        ++epochCount_;
-        const Cycle len = now_ - t;
-        epochCycleSum_ += len;
-        if (len > epochCycleMax_)
-            epochCycleMax_ = len;
-#if MTP_OBS_ENABLED
-        // Liveness: one beat per epoch — a hung epoch (a worker stuck
-        // in a phase, a lost wakeup) freezes the beat counter and the
-        // watchdog dumps these gauges.
-        obs::FlightRecorder::beat();
-        gCycle.set(static_cast<std::uint64_t>(now_));
-        gEpoch.set(epochCount_);
-#endif
-        if (finished)
-            break;
-    }
-    // Park the workers for good, then settle trailing core windows.
-    barrier_->release(encodeCmd(now_, kCmdExit));
-    for (std::thread &w : workers_)
-        w.join();
-    workers_.clear();
-    for (CoreId c = 0; c < n; ++c)
-        if (coreSettledTo_[c] < now_)
-            cores_[c]->accountSkip(coreSettledTo_[c], now_);
-#if MTP_OBS_ENABLED
-    obs::FlightRecorder::releaseGauge(gCycle);
-    obs::FlightRecorder::releaseGauge(gEpoch);
-#endif
-}
-
 RunResult
 Gpu::summarize() const
 {
@@ -1047,25 +614,17 @@ Gpu::summarize() const
     r.sched.add("sim.sched.skipSuccesses",
                 static_cast<double>(sched_.skipSuccesses),
                 "fast-forward jumps that moved the clock");
-    // In sharded mode core ticks and queue traffic happen on the
-    // per-shard queues; fold them into the run-wide totals.
-    std::uint64_t core_ticks = sched_.coreTicks;
-    std::uint64_t pushes = queue_.pushes();
-    std::uint64_t pops = queue_.pops();
-    for (const ShardState &sh : shards_) {
-        core_ticks += sh.coreTicks;
-        pushes += sh.queue.pushes();
-        pops += sh.queue.pops();
-    }
-    r.sched.add("sim.sched.coreTicks", static_cast<double>(core_ticks),
+    r.sched.add("sim.sched.coreTicks",
+                static_cast<double>(sched_.coreTicks),
                 "per-core tick() calls executed");
     std::uint64_t elided =
-        sched_.cyclesStepped * cores_.size() - core_ticks;
+        sched_.cyclesStepped * cores_.size() - sched_.coreTicks;
     r.sched.add("sim.sched.coreTicksElided", static_cast<double>(elided),
                 "core ticks skipped by the event queue");
-    r.sched.add("sim.sched.queuePushes", static_cast<double>(pushes),
+    r.sched.add("sim.sched.queuePushes",
+                static_cast<double>(queue_.pushes()),
                 "event-queue arm operations");
-    r.sched.add("sim.sched.queuePops", static_cast<double>(pops),
+    r.sched.add("sim.sched.queuePops", static_cast<double>(queue_.pops()),
                 "event-queue due-component pops");
     r.sched.add("sim.sched.horizonHits",
                 static_cast<double>(mem_->horizonHits()),
@@ -1073,48 +632,6 @@ Gpu::summarize() const
     r.sched.add("sim.sched.horizonMisses",
                 static_cast<double>(mem_->horizonMisses()),
                 "DRAM channel horizon-cache recomputes");
-    r.sched.add("sim.sched.shards", static_cast<double>(ranShards_),
-                "worker shards used by the run loop");
-    if (barrier_) {
-        r.sched.add("sim.sched.barrierEpochs",
-                    static_cast<double>(epochCount_),
-                    "epoch-barrier rounds (stepped cycles + skips)");
-        double mean = epochCount_ ? static_cast<double>(epochCycleSum_) /
-                                        static_cast<double>(epochCount_)
-                                  : 0.0;
-        r.sched.add("sim.sched.barrierEpochCyclesMean", mean,
-                    "mean simulated cycles covered per epoch");
-        r.sched.add("sim.sched.barrierEpochCyclesMax",
-                    static_cast<double>(epochCycleMax_),
-                    "largest simulated-cycle span of one epoch");
-        r.sched.add("sim.sched.barrierWaitNs.coordinator",
-                    static_cast<double>(barrier_->coordinatorWaitNs()),
-                    "coordinator ns blocked awaiting shard arrivals");
-        // Spin vs futex-park split (DESIGN.md §12): mostly-spin means
-        // shards arrive nearly together; mostly-park means imbalance
-        // or an oversubscribed host.
-        r.sched.add("sim.sched.barrierSpinNs.coordinator",
-                    static_cast<double>(barrier_->coordinatorSpinNs()),
-                    "coordinator barrier ns spent busy-polling");
-        r.sched.add("sim.sched.barrierParkNs.coordinator",
-                    static_cast<double>(barrier_->coordinatorParkNs()),
-                    "coordinator barrier ns spent futex-parked");
-        std::uint64_t spin = 0, park = 0;
-        for (unsigned w = 0; w < barrier_->workers(); ++w) {
-            r.sched.add("sim.sched.barrierWaitNs.shard" +
-                            std::to_string(w + 1),
-                        static_cast<double>(barrier_->workerWaitNs(w)),
-                        "shard ns blocked awaiting epoch commands");
-            spin += barrier_->workerSpinNs(w);
-            park += barrier_->workerParkNs(w);
-        }
-        r.sched.add("sim.sched.barrierSpinNs.workers",
-                    static_cast<double>(spin),
-                    "all-shard barrier ns spent busy-polling");
-        r.sched.add("sim.sched.barrierParkNs.workers",
-                    static_cast<double>(park),
-                    "all-shard barrier ns spent futex-parked");
-    }
     return r;
 }
 

@@ -9,11 +9,9 @@
 
 #include <cstdint>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "common/config.hh"
-#include "common/epoch_barrier.hh"
 #include "common/stats.hh"
 #include "mem/mem_system.hh"
 #include "obs/observer.hh"
@@ -109,14 +107,12 @@ class Gpu
 
     /**
      * Run the kernel to completion and return the summary. With
-     * cfg.fastForward (the default) the loop skips stretches of cycles
-     * in which no component can act: cfg.eventQueue (the default)
-     * selects the event-queue schedule — components self-arm their
-     * next tick and only due components tick each stepped cycle —
-     * while eventQueue = false keeps the legacy loop that ticks
-     * everything and polls every nextEventAt() bound between steps.
-     * Results are bit-identical across all three; the naive
-     * cycle-by-cycle loop remains the oracle with fastForward = false.
+     * cfg.fastForward (the default) the event-queue schedule runs:
+     * components self-arm their next tick, only due components tick
+     * each stepped cycle, and the clock jumps straight over stretches
+     * in which no component can act. With fastForward = false the
+     * naive cycle-by-cycle loop runs instead; it is the oracle, and
+     * results are bit-identical between the two (DESIGN.md §7).
      */
     RunResult run();
 
@@ -133,14 +129,6 @@ class Gpu
     /** Exhaustive recomputation of done() (oracle for the counters). */
     bool doneScan() const;
 
-    /**
-     * Earliest cycle >= now() at which any component might act: a
-     * dispatchable block, a memory-system event, or a core event. Never
-     * later than the true next state change (the event-horizon
-     * contract, DESIGN.md); invalidCycle when fully drained.
-     */
-    Cycle nextEventAt() const;
-
     Cycle now() const { return now_; }
     Core &core(CoreId id) { return *cores_[id]; }
     MemSystem &mem() { return *mem_; }
@@ -149,9 +137,6 @@ class Gpu
   private:
     /** Naive oracle loop: step every cycle (fastForward = false). */
     void runNaive();
-
-    /** Legacy fast-forward: tick everything, poll bounds, skip. */
-    void runLegacy();
 
     /**
      * Event-queue schedule (DESIGN.md §7): each component self-arms
@@ -162,33 +147,6 @@ class Gpu
      * they next tick (coreSettledTo_ cursors).
      */
     void runQueued();
-
-    /**
-     * Epoch-sharded event-queue schedule (DESIGN.md §10): cores and
-     * DRAM channels are partitioned into @p numShards shards, each
-     * with its own EventQueue; every stepped cycle runs the core and
-     * mem phases across all shards in parallel (the coordinator thread
-     * executes shard 0) with EpochBarrier rendezvous between phases,
-     * then skips to the joint cross-shard horizon. Bit-identical to
-     * runQueued() for every shard count.
-     */
-    void runSharded(unsigned numShards);
-
-    /**
-     * Shards the run loop will actually use: cfg_.shards clamped to
-     * the core count, and 1 when a lifecycle tracer is attached (its
-     * hooks would fire inside parallel phases).
-     */
-    unsigned effectiveShards() const;
-
-    /** One shard's core phase of stepped cycle @p t. */
-    void shardCoreTick(unsigned s, Cycle t);
-
-    /** One shard's mem phase of stepped cycle @p t. */
-    void shardMemTick(unsigned s, Cycle t);
-
-    /** Body of worker thread for shard @p s (s >= 1). */
-    void shardWorker(unsigned s);
 
     /** Hand out grid blocks to cores with free occupancy slots. */
     void dispatchBlocks();
@@ -208,14 +166,6 @@ class Gpu
 
     /** Register probes/tracks and wire the tracer into components. */
     void attachObserver(obs::Observer *obs);
-
-    /**
-     * Jump the clock to @p target (> now()), accounting for everything
-     * the skipped per-cycle loop would have done: the (now & 127)
-     * active-warp samples (state is constant across a skipped window)
-     * and the round-robin dispatch origin rotation.
-     */
-    void skipTo(Cycle target);
 
     /** Assemble the RunResult after the loop finishes. */
     RunResult summarize() const;
@@ -257,37 +207,6 @@ class Gpu
         std::uint64_t coreTicks = 0;
     };
     SchedCounters sched_;
-
-    // Sharded-schedule state (runSharded(); empty for serial runs).
-    /**
-     * One shard's partition, event queue and per-phase scratch.
-     * Cacheline-aligned: the owning thread re-arms its queue and
-     * updates its counters inside parallel phases, and adjacent
-     * shards' state must not false-share.
-     */
-    struct alignas(64) ShardState
-    {
-        unsigned coreLo = 0, coreHi = 0; //!< owned cores [lo, hi)
-        unsigned chanLo = 0, chanHi = 0; //!< owned channels [lo, hi)
-        EventQueue queue; //!< slot i = core coreLo + i
-        std::uint64_t coreTicks = 0;
-        /** Cores gone busy->idle during the last core phase. */
-        unsigned busyDelta = 0;
-        /** A core freed an occupancy slot with blocks still pending. */
-        bool wakeDispatch = false;
-    };
-    std::vector<ShardState> shards_;
-    std::vector<unsigned> shardOfCore_;
-    std::unique_ptr<EpochBarrier> barrier_;
-    std::vector<std::thread> workers_;
-    unsigned ranShards_ = 1; //!< shards the last run() actually used
-    bool tracerAttached_ = false;
-
-    // Epoch accounting (sim.sched.barrier*): one epoch per coordinator
-    // iteration — a stepped cycle plus the joint-horizon skip after it.
-    std::uint64_t epochCount_ = 0;
-    std::uint64_t epochCycleSum_ = 0;
-    std::uint64_t epochCycleMax_ = 0;
 
     obs::Observer *obs_ = nullptr;
     std::unique_ptr<obs::Observer> ownedObs_; //!< env-alias fallback

@@ -3,8 +3,8 @@
  * The campaign layer's contracts: manifests round-trip through the
  * obs JSON parser, the golden-snapshot gate passes on itself and
  * fails with a named metric when perturbed, and a two-harness
- * mini-campaign writes a byte-identical manifest at every --jobs and
- * --shards setting (the "session" block excluded).
+ * mini-campaign writes a byte-identical manifest at every --jobs
+ * setting (the "session" block excluded).
  */
 
 #include <gtest/gtest.h>
@@ -39,11 +39,10 @@ miniFigures()
 }
 
 std::string
-miniManifest(unsigned jobs, unsigned shards, bool includeSession)
+miniManifest(unsigned jobs, bool includeSession)
 {
     Options opts = miniOptions();
     opts.jobs = jobs;
-    opts.shards = shards;
     CampaignResult res = runCampaign(opts, miniFigures());
     std::ostringstream os;
     writeManifest(os, res, includeSession);
@@ -86,7 +85,7 @@ TEST(Campaign, SpecsAreRegisteredAndNamed)
 
 TEST(Campaign, ManifestRoundTripsThroughObsJson)
 {
-    std::string manifest = miniManifest(1, 1, true);
+    std::string manifest = miniManifest(1, true);
 
     obs::JsonValue doc;
     std::string error;
@@ -101,6 +100,9 @@ TEST(Campaign, ManifestRoundTripsThroughObsJson)
     ASSERT_NE(prov, nullptr);
     EXPECT_NE(prov->find("gitSha"), nullptr);
     EXPECT_NE(prov->find("host"), nullptr);
+    const obs::JsonValue *threads = prov->find("hostThreads");
+    ASSERT_NE(threads, nullptr);
+    EXPECT_GE(threads->number, 1.0);
 
     const obs::JsonValue *session = doc.find("session");
     ASSERT_NE(session, nullptr);
@@ -124,7 +126,7 @@ TEST(Campaign, ManifestRoundTripsThroughObsJson)
 
 TEST(Campaign, GatePassesAgainstItselfAndNamesPerturbedMetric)
 {
-    std::string manifest = miniManifest(1, 1, false);
+    std::string manifest = miniManifest(1, false);
     obs::JsonValue golden;
     std::string error;
     ASSERT_TRUE(obs::parseJson(manifest, golden, &error)) << error;
@@ -173,7 +175,7 @@ TEST(Campaign, GatePassesAgainstItselfAndNamesPerturbedMetric)
 
 TEST(Campaign, GateFlagsStructuralDrift)
 {
-    std::string manifest = miniManifest(1, 1, false);
+    std::string manifest = miniManifest(1, false);
     obs::JsonValue golden;
     std::string error;
     ASSERT_TRUE(obs::parseJson(manifest, golden, &error)) << error;
@@ -191,20 +193,17 @@ TEST(Campaign, GateFlagsStructuralDrift)
     EXPECT_EQ(violations[0].path, "fig11_swp_throttle");
 }
 
-TEST(Campaign, ManifestByteIdenticalAcrossJobsAndShards)
+TEST(Campaign, ManifestByteIdenticalAcrossJobs)
 {
-    std::string serial = miniManifest(1, 1, false);
-    std::string parallel = miniManifest(4, 1, false);
-    std::string sharded = miniManifest(2, 2, false);
+    std::string serial = miniManifest(1, false);
+    std::string parallel = miniManifest(4, false);
     EXPECT_EQ(serial, parallel)
         << "manifest body must not depend on --jobs";
-    EXPECT_EQ(serial, sharded)
-        << "manifest body must not depend on --shards";
 
     // The session block is the one legitimate source of variation;
     // with it included the body (everything before "session") must
     // still match.
-    std::string withSession = miniManifest(1, 1, true);
+    std::string withSession = miniManifest(1, true);
     EXPECT_NE(withSession.find("\"session\""), std::string::npos);
     EXPECT_EQ(serial.find("\"session\""), std::string::npos);
 }

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "common/config.hh"
+#include "driver/fingerprint.hh"
 
 namespace mtp {
 namespace {
@@ -82,6 +83,36 @@ TEST(Config, DumpContainsKeys)
     cfg.dump(os);
     EXPECT_NE(os.str().find("numCores = 14"), std::string::npos);
     EXPECT_NE(os.str().find("hwPref = none"), std::string::npos);
+}
+
+/**
+ * Run fingerprints hash the config dump, and committed manifests and
+ * golden files carry those fingerprints: the default dump's bytes are
+ * pinned, including the fixed lines for the removed eventQueue and
+ * shards knobs, whose keys no longer parse.
+ */
+TEST(Config, DumpBytesArePinned)
+{
+    std::ostringstream os;
+    SimConfig{}.dump(os);
+    driver::Fnv1a hash;
+    hash.add(os.str());
+    EXPECT_EQ(hash.value(), 0xa6daf7dfea7887f0ULL) << os.str();
+    EXPECT_EXIT(SimConfig{}.applyOverride("eventQueue=0"),
+                ::testing::ExitedWithCode(1), "unknown config key");
+    EXPECT_EXIT(SimConfig{}.applyOverride("shards=2"),
+                ::testing::ExitedWithCode(1), "unknown config key");
+}
+
+/** Values that would divide by zero or never finish are rejected. */
+TEST(Config, ValidateRejectsZeroes)
+{
+    for (const char *key : {"dramBusBytesPerCycle", "maxBlocksPerCore",
+                            "throttlePeriod"}) {
+        SimConfig cfg;
+        cfg.applyOverride(std::string(key) + "=0");
+        EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1), key);
+    }
 }
 
 } // namespace

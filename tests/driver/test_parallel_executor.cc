@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <vector>
@@ -78,21 +77,6 @@ TEST(ParallelExecutor, WorkerSubmissionsComplete)
     for (auto &f : outer)
         f.get().get();
     EXPECT_EQ(done.load(), 16);
-}
-
-TEST(ParallelExecutor, BudgetedThreadsSharesTheTwoAxes)
-{
-    // An explicit job count always wins, sharded or not.
-    EXPECT_EQ(ParallelExecutor::budgetedThreads(3, 1), 3u);
-    EXPECT_EQ(ParallelExecutor::budgetedThreads(3, 4), 3u);
-    // No sharding: 0 still means "pick the default".
-    EXPECT_EQ(ParallelExecutor::budgetedThreads(0, 1), 0u);
-    // Sharding with no explicit jobs derates the default width so
-    // jobs x shards stays near the host core count, floored at 1.
-    unsigned hw = ParallelExecutor::defaultThreads();
-    EXPECT_EQ(ParallelExecutor::budgetedThreads(0, 2),
-              std::max(1u, hw / 2));
-    EXPECT_EQ(ParallelExecutor::budgetedThreads(0, 10 * hw), 1u);
 }
 
 TEST(ParallelExecutor, DestructorDrainsQueuedTasks)

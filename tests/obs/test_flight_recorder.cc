@@ -45,7 +45,7 @@ TEST(FlightRecorder, BeatsAreMonotonic)
 TEST(FlightRecorder, GaugeLifecycleAndJsonlDump)
 {
     FlightRecorder::Gauge g =
-        FlightRecorder::acquireGauge("test.shard0.cycle");
+        FlightRecorder::acquireGauge("test.run0.cycle");
     ASSERT_TRUE(g.valid());
     g.set(7);
     g.add(5);
@@ -73,7 +73,7 @@ TEST(FlightRecorder, GaugeLifecycleAndJsonlDump)
             EXPECT_NE(doc.find("beats"), nullptr);
         } else if (type->str == "flight.gauge") {
             const obs::JsonValue *name = doc.find("name");
-            if (name && name->str == "test.shard0.cycle") {
+            if (name && name->str == "test.run0.cycle") {
                 sawGauge = true;
                 const obs::JsonValue *value = doc.find("value");
                 ASSERT_NE(value, nullptr);

@@ -1,8 +1,7 @@
 /**
  * @file
- * Unit tests for the event-queue scheduling primitives: the indexed
- * priority structure (lazily cached minimum vs. a naive scan oracle)
- * and the capped skip backoff policy.
+ * Unit tests for the event-queue scheduling primitive: the indexed
+ * priority structure (lazily cached minimum vs. a naive scan oracle).
  */
 
 #include <gtest/gtest.h>
@@ -115,52 +114,6 @@ TEST(EventQueue, CountsPushesAndPops)
     q.reset(2);
     EXPECT_EQ(q.pushes(), 0u);
     EXPECT_EQ(q.pops(), 0u);
-}
-
-TEST(SkipBackoff, PausesGrowExponentiallyUpToCap)
-{
-    SkipBackoff b;
-    EXPECT_TRUE(b.shouldAttempt());
-    std::vector<unsigned> pauses;
-    for (int i = 0; i < 6; ++i) {
-        b.noteFailure();
-        pauses.push_back(b.pause());
-    }
-    EXPECT_EQ(pauses, (std::vector<unsigned>{2, 4, 8, 8, 8, 8}));
-}
-
-TEST(SkipBackoff, ExponentStaysCappedUnderSustainedFailure)
-{
-    // Regression: an unbounded exponent shifts 1u past the width of
-    // unsigned on long event-dense runs. Hundreds of consecutive
-    // failures must keep the pause at the cap.
-    SkipBackoff b;
-    for (int i = 0; i < 100; ++i) {
-        b.noteFailure();
-        ASSERT_LE(b.pause(), 1u << SkipBackoff::maxExponent) << i;
-    }
-    EXPECT_EQ(b.pause(), 1u << SkipBackoff::maxExponent);
-}
-
-TEST(SkipBackoff, ShouldAttemptConsumesPauseCycles)
-{
-    SkipBackoff b;
-    b.noteFailure(); // pause = 2
-    EXPECT_FALSE(b.shouldAttempt());
-    EXPECT_FALSE(b.shouldAttempt());
-    EXPECT_TRUE(b.shouldAttempt());
-}
-
-TEST(SkipBackoff, SuccessResetsTheSchedule)
-{
-    SkipBackoff b;
-    for (int i = 0; i < 5; ++i)
-        b.noteFailure();
-    b.noteSuccess();
-    EXPECT_EQ(b.pause(), 0u);
-    EXPECT_TRUE(b.shouldAttempt());
-    b.noteFailure();
-    EXPECT_EQ(b.pause(), 2u); // schedule restarted from the first step
 }
 
 } // namespace

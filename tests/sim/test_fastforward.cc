@@ -1,9 +1,8 @@
 /**
  * @file
- * Golden-equivalence suite for event-driven cycle skipping: all three
+ * Golden-equivalence suite for event-driven cycle skipping: the two
  * scheduler modes — the naive cycle-by-cycle oracle (fastForward =
- * false), the legacy polling fast-forward (fastForward = true,
- * eventQueue = false) and the event-queue schedule (both true, the
+ * false) and the event-queue schedule (fastForward = true, the
  * default) — must be bit-identical in every RunResult field and the
  * full statistics dump, across kernels, prefetcher configurations,
  * throttling, and the scheduler/dispatch ablations. Also
@@ -123,9 +122,8 @@ goldenConfigs()
 
 /**
  * The full golden matrix: every kernel under every configuration must
- * produce byte-identical results in all three scheduler modes — the
- * naive oracle, the legacy polling fast-forward, and the event-queue
- * schedule.
+ * produce byte-identical results in both scheduler modes — the naive
+ * oracle and the event-queue schedule.
  */
 TEST(FastForwardGolden, MatrixIdentical)
 {
@@ -133,62 +131,13 @@ TEST(FastForwardGolden, MatrixIdentical)
         for (const auto &[kname, kernel] : goldenKernels()) {
             SimConfig naive = cfg;
             naive.fastForward = false;
-            SimConfig legacy = cfg;
-            legacy.fastForward = true;
-            legacy.eventQueue = false;
             SimConfig queued = cfg;
             queued.fastForward = true;
-            queued.eventQueue = true;
-            RunResult oracle = simulate(naive, kernel);
-            expectBitIdentical(simulate(legacy, kernel), oracle,
-                               cname + "/" + kname + "/legacy");
-            expectBitIdentical(simulate(queued, kernel), oracle,
-                               cname + "/" + kname + "/queued");
+            expectBitIdentical(simulate(queued, kernel),
+                               simulate(naive, kernel),
+                               cname + "/" + kname);
         }
     }
-}
-
-/**
- * Epoch-sharded golden matrix (DESIGN.md §10): every configuration and
- * kernel of the golden matrix must reproduce the serial shards=1 run
- * byte for byte at shards = 2 and 4. The machine is widened to 5 cores
- * and 3 DRAM channels so four shards get ragged partitions — unequal
- * core counts and a shard that owns no channel at all — which is where
- * partition or mailbox-routing bugs would surface.
- */
-TEST(FastForwardGolden, ShardedMatrixIdentical)
-{
-    for (const auto &[cname, base] : goldenConfigs()) {
-        SimConfig cfg = base;
-        cfg.numCores = 5;
-        cfg.dramChannels = 3;
-        for (const auto &[kname, kernel] : goldenKernels()) {
-            RunResult serial = simulate(cfg, kernel);
-            for (unsigned s : {2u, 4u}) {
-                SimConfig sharded = cfg;
-                sharded.shards = s;
-                expectBitIdentical(simulate(sharded, kernel), serial,
-                                   cname + "/" + kname + "/shards=" +
-                                       std::to_string(s));
-            }
-        }
-    }
-}
-
-/**
- * Requesting more shards than cores must clamp (two cores cannot feed
- * eight workers) and still reproduce the serial run byte for byte.
- */
-TEST(FastForwardGolden, ShardsClampToCoreCount)
-{
-    KernelDesc kernel = test::tinyStreamKernel(2, 4, 4, 1);
-    SimConfig cfg = test::tinyConfig();
-    RunResult serial = simulate(cfg, kernel);
-    SimConfig oversharded = cfg;
-    oversharded.shards = 8;
-    RunResult r = simulate(oversharded, kernel);
-    expectBitIdentical(r, serial, "shards=8 on 2 cores");
-    EXPECT_DOUBLE_EQ(r.sched.get("sim.sched.shards"), 2.0);
 }
 
 /**
@@ -234,13 +183,8 @@ TEST(FastForwardGolden, ThrottlePeriodBoundaries)
         cfg.throttlePeriod = period;
         SimConfig naive = cfg;
         naive.fastForward = false;
-        SimConfig legacy = cfg;
-        legacy.eventQueue = false;
-        RunResult oracle = simulate(naive, kernel);
-        expectBitIdentical(simulate(legacy, kernel), oracle,
-                           "legacy period=" + std::to_string(period));
-        expectBitIdentical(simulate(cfg, kernel), oracle,
-                           "queued period=" + std::to_string(period));
+        expectBitIdentical(simulate(cfg, kernel), simulate(naive, kernel),
+                           "period=" + std::to_string(period));
     }
 }
 
@@ -279,11 +223,10 @@ TEST(DoneCounter, MatchesExhaustiveScanRrDispatch)
 }
 
 /**
- * fastForward and eventQueue feed the config dump and hence the
- * RunCache fingerprint: oracle, legacy and queued runs must be
- * distinct cache entries that agree on results. Run under the parallel
- * driver so the TSan build exercises the new counters across worker
- * threads.
+ * fastForward feeds the config dump and hence the RunCache
+ * fingerprint: oracle and queued runs must be distinct cache entries
+ * that agree on results. Run under the parallel driver so the TSan
+ * build exercises the scheduler counters across worker threads.
  */
 TEST(FastForwardGolden, DriverMatrixUnderParallelExecutor)
 {
@@ -293,8 +236,6 @@ TEST(FastForwardGolden, DriverMatrixUnderParallelExecutor)
     };
     SimConfig queued = test::tinyConfig();
     queued.hwPref = HwPrefKind::MTHWP;
-    SimConfig legacy = queued;
-    legacy.eventQueue = false;
     SimConfig naive = queued;
     naive.fastForward = false;
 
@@ -302,16 +243,12 @@ TEST(FastForwardGolden, DriverMatrixUnderParallelExecutor)
     driver::RunCache cache(exec);
     for (const auto &k : kernels) {
         cache.submit(queued, k);
-        cache.submit(legacy, k);
         cache.submit(naive, k);
     }
-    EXPECT_EQ(cache.misses(), 6u);
-    for (const auto &k : kernels) {
-        expectBitIdentical(cache.result(legacy, k),
-                           cache.result(naive, k), k.name + "/legacy");
+    EXPECT_EQ(cache.misses(), 4u);
+    for (const auto &k : kernels)
         expectBitIdentical(cache.result(queued, k),
-                           cache.result(naive, k), k.name + "/queued");
-    }
+                           cache.result(naive, k), k.name);
 }
 
 } // namespace

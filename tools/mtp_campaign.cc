@@ -27,7 +27,7 @@
  *   mtp-campaign [--out FILE] [--only a,b] [--list] [--smoke]
  *                [--skip-volatile] [--bench-dir DIR] [--no-session]
  *                + the common harness flags (--scale, --bench, --jobs,
- *                  --shards, --quiet, key=value overrides)
+ *                  --quiet, key=value overrides)
  */
 
 #include <algorithm>
@@ -303,8 +303,8 @@ main(int argc, char **argv)
         std::string dir = dirnameOf(out);
         runVolatile(benchDir, "bench_simrate", "",
                     "Simulation rate: naive loop vs event-driven "
-                    "fast-forward + shard scaling",
-                    "DESIGN.md §10", opts, smoke,
+                    "fast-forward",
+                    "DESIGN.md §7", opts, smoke,
                     dir + "/BENCH_simrate.json", res.rawFigures);
         std::string noobs = benchDir + "/bench_obs_overhead_noobs";
         std::string flags;
@@ -355,11 +355,11 @@ main(int argc, char **argv)
         MTP_FATAL("writing '", out, "' failed");
 
     std::printf("\nmtp-campaign: %zu figures, %llu distinct runs "
-                "(%llu cache hits) in %.1fs at --jobs %u --shards %u\n",
+                "(%llu cache hits) in %.1fs at --jobs %u\n",
                 res.figures.size() + res.rawFigures.size(),
                 static_cast<unsigned long long>(res.runsExecuted),
                 static_cast<unsigned long long>(res.cacheHits),
-                res.wallSeconds, res.jobs, res.shards);
+                res.wallSeconds, res.jobs);
     std::printf("wrote %s\n", out.c_str());
     return 0;
 }

@@ -231,44 +231,6 @@ printScheduler(const std::vector<Run> &runs)
         double hits = r.getOr("sim.sched.horizonHits", 0.0);
         return pct(hits, hits + r.getOr("sim.sched.horizonMisses", 0.0));
     });
-    // Epoch-sharded runs (shards > 1) carry barrier counters; serial
-    // runs and older stats files don't, so the rows print only when at
-    // least one run was sharded.
-    bool sharded = false;
-    for (const auto &run : runs)
-        sharded = sharded || run.getOr("sim.sched.shards", 1.0) > 1.0;
-    if (!sharded)
-        return;
-    row("shards", [&](const Run &r) {
-        return count(r.getOr("sim.sched.shards", 1.0));
-    });
-    row("barrier epochs", [&](const Run &r) {
-        return count(r.getOr("sim.sched.barrierEpochs", 0.0));
-    });
-    row("epoch cycles", [&](const Run &r) {
-        char buf[48];
-        std::snprintf(buf, sizeof buf, "%.1f mean / %.0f max",
-                      r.getOr("sim.sched.barrierEpochCyclesMean", 0.0),
-                      r.getOr("sim.sched.barrierEpochCyclesMax", 0.0));
-        return std::string(buf);
-    });
-    row("barrier wait", [&](const Run &r) {
-        // Coordinator vs. the worst worker, in milliseconds blocked.
-        double coord =
-            r.getOr("sim.sched.barrierWaitNs.coordinator", 0.0);
-        double worst = 0.0;
-        for (unsigned s = 1;; ++s) {
-            std::string key =
-                "sim.sched.barrierWaitNs.shard" + std::to_string(s);
-            if (!r.stats.count(key))
-                break;
-            worst = std::max(worst, r.getOr(key, 0.0));
-        }
-        char buf[48];
-        std::snprintf(buf, sizeof buf, "%.1f/%.1f ms", coord / 1e6,
-                      worst / 1e6);
-        return std::string(buf);
-    });
 }
 
 /** Demand-latency mean over all cores (histogram-count weighted). */

@@ -43,13 +43,6 @@ usage(const char *argv0)
         "  --jobs <N>             parallel simulations (default: all\n"
         "                         cores); results are identical for\n"
         "                         every N\n"
-        "  --shards <N>           worker threads inside each simulation\n"
-        "                         (epoch-sharded cores/channels,\n"
-        "                         default 1); results are bit-identical\n"
-        "                         for every N. Size jobs x shards to\n"
-        "                         the host cores; with --shards and no\n"
-        "                         --jobs the job count is derated so\n"
-        "                         the product stays at the core count\n"
         "  --stats <file>         dump full statistics to <file>\n"
         "  --csv                  CSV statistics instead of text\n"
         "  --json                 JSON statistics instead of text\n"
@@ -136,11 +129,6 @@ main(int argc, char **argv)
             jobs = static_cast<unsigned>(std::stoul(next("--jobs")));
             if (jobs == 0)
                 MTP_FATAL("--jobs must be >= 1");
-        } else if (arg == "--shards") {
-            cfg.shards = static_cast<unsigned>(
-                std::stoul(next("--shards")));
-            if (cfg.shards == 0)
-                MTP_FATAL("--shards must be >= 1");
         } else if (arg == "--stats") {
             stats_file = next("--stats");
         } else if (arg == "--csv") {
@@ -183,12 +171,6 @@ main(int argc, char **argv)
         }
     }
     cfg.throttleEnable = throttle || cfg.throttleEnable;
-
-    // Share the thread budget between the two parallelism axes: with
-    // intra-run sharding and no explicit --jobs, derate the executor so
-    // jobs x shards stays near the host core count instead of
-    // oversubscribing it.
-    jobs = driver::ParallelExecutor::budgetedThreads(jobs, cfg.shards);
 
     if (benches.empty() == kernel_file.empty()) {
         std::fprintf(stderr,
