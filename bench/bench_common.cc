@@ -37,8 +37,7 @@ parseArgs(int argc, char **argv, const std::vector<FlagSpec> &extra,
             continue;
         }
         if (arg == "--scale" && i + 1 < argc) {
-            opts.scaleDiv = static_cast<unsigned>(
-                std::stoul(argv[++i]));
+            opts.scaleDiv = parseUnsigned("--scale", argv[++i]);
             if (opts.scaleDiv == 0)
                 MTP_FATAL("--scale must be >= 1");
             // Keep the throttle period proportional to run length.
@@ -50,12 +49,11 @@ parseArgs(int argc, char **argv, const std::vector<FlagSpec> &extra,
             while (std::getline(ss, name, ','))
                 opts.benchmarks.push_back(name);
         } else if (arg == "--jobs" && i + 1 < argc) {
-            opts.jobs = static_cast<unsigned>(std::stoul(argv[++i]));
+            opts.jobs = parseUnsigned("--jobs", argv[++i]);
             if (opts.jobs == 0)
                 MTP_FATAL("--jobs must be >= 1");
         } else if (arg == "--sample-period" && i + 1 < argc) {
-            opts.samplePeriod = static_cast<Cycle>(
-                std::stoull(argv[++i]));
+            opts.samplePeriod = parseU64("--sample-period", argv[++i]);
         } else if (arg == "--trace-out" && i + 1 < argc) {
             opts.traceOut = argv[++i];
         } else if (arg == "--json" && i + 1 < argc) {

@@ -2,13 +2,9 @@
  * @file
  * The reproducibility header shared by every campaign-path JSON
  * artifact, plus the low-level JSON append helpers it is built from.
- *
- * Split out of bench/campaign.cc so the self-timing binaries that
- * cannot link the bench suite — bench_obs_overhead is compiled twice,
- * once against the no-obs simulator stack, and the two stacks define
- * the same symbols — still emit the exact same provenance block. The
- * library therefore depends only on mtp_common and mtp_obs, which both
- * stacks already link.
+ * Part of the mtp_bench_common library, so every harness, the campaign
+ * manifest and the repository benchmark (perfbench/) emit the same
+ * provenance block.
  */
 
 #ifndef MTP_BENCH_PROVENANCE_HH
@@ -37,8 +33,9 @@ struct Provenance
 
 /**
  * Collect the git SHA, hostname and host thread count plus the passed
- * knobs. Field-based (not Options-based) so binaries that hand-parse
- * their CLI can call it; bench/campaign.hh adds the Options overload.
+ * knobs. Field-based (not Options-based) so callers without a
+ * bench::Options can fill it; bench/campaign.hh adds the Options
+ * overload.
  */
 Provenance collectProvenance(unsigned scaleDiv, Cycle throttlePeriod,
                              std::vector<std::string> overrides = {},

@@ -1,5 +1,6 @@
 #include "common/config.hh"
 
+#include <charconv>
 #include <functional>
 #include <map>
 #include <ostream>
@@ -74,46 +75,21 @@ namespace {
 
 using Setter = std::function<void(SimConfig &, const std::string &)>;
 
-unsigned
-parseUnsigned(const std::string &key, const std::string &value)
+/** std::from_chars over all of @p value; fatal naming @p key if not. */
+template <typename T>
+T
+parseWhole(const std::string &key, const std::string &value,
+           const char *kind)
 {
-    try {
-        std::size_t pos = 0;
-        unsigned long v = std::stoul(value, &pos);
-        if (pos != value.size())
-            throw std::invalid_argument(value);
-        return static_cast<unsigned>(v);
-    } catch (const std::exception &) {
-        MTP_FATAL("bad unsigned value '", value, "' for key '", key, "'");
-    }
-}
-
-std::uint64_t
-parseU64(const std::string &key, const std::string &value)
-{
-    try {
-        std::size_t pos = 0;
-        unsigned long long v = std::stoull(value, &pos);
-        if (pos != value.size())
-            throw std::invalid_argument(value);
-        return v;
-    } catch (const std::exception &) {
-        MTP_FATAL("bad integer value '", value, "' for key '", key, "'");
-    }
-}
-
-double
-parseDouble(const std::string &key, const std::string &value)
-{
-    try {
-        std::size_t pos = 0;
-        double v = std::stod(value, &pos);
-        if (pos != value.size())
-            throw std::invalid_argument(value);
-        return v;
-    } catch (const std::exception &) {
-        MTP_FATAL("bad float value '", value, "' for key '", key, "'");
-    }
+    T v{};
+    const char *end = value.data() + value.size();
+    auto [ptr, ec] = std::from_chars(value.data(), end, v);
+    if (ec == std::errc::result_out_of_range)
+        MTP_FATAL(kind, " value '", value, "' out of range for '", key,
+                  "'");
+    if (ec != std::errc() || ptr != end)
+        MTP_FATAL("bad ", kind, " value '", value, "' for '", key, "'");
+    return v;
 }
 
 bool
@@ -123,7 +99,7 @@ parseBool(const std::string &key, const std::string &value)
         return true;
     if (value == "0" || value == "false" || value == "no")
         return false;
-    MTP_FATAL("bad bool value '", value, "' for key '", key, "'");
+    MTP_FATAL("bad bool value '", value, "' for '", key, "'");
 }
 
 #define UNSIGNED_FIELD(field) \
@@ -216,6 +192,24 @@ setters()
 #undef BOOL_FIELD
 
 } // namespace
+
+unsigned
+parseUnsigned(const std::string &key, const std::string &value)
+{
+    return parseWhole<unsigned>(key, value, "unsigned");
+}
+
+std::uint64_t
+parseU64(const std::string &key, const std::string &value)
+{
+    return parseWhole<std::uint64_t>(key, value, "unsigned");
+}
+
+double
+parseDouble(const std::string &key, const std::string &value)
+{
+    return parseWhole<double>(key, value, "float");
+}
 
 SimConfig &
 SimConfig::applyOverride(const std::string &kv)

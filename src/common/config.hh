@@ -47,6 +47,16 @@ std::string toString(HwPrefKind kind);
 std::string toString(SwPrefKind kind);
 
 /**
+ * Checked number parsers for config values and CLI flags: the whole of
+ * @p value must parse as the result type, so a sign on an unsigned
+ * type, trailing text or an out-of-range value exits 1 with one line
+ * naming @p key (a config key or a flag such as "--scale").
+ */
+unsigned parseUnsigned(const std::string &key, const std::string &value);
+std::uint64_t parseU64(const std::string &key, const std::string &value);
+double parseDouble(const std::string &key, const std::string &value);
+
+/**
  * Complete configuration of one simulation. Aggregate-initializable;
  * every field has the paper's baseline value as default.
  */

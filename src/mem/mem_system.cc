@@ -172,14 +172,12 @@ MemSystem::deliverResponses(Cycle now)
             MTP_ASSERT(inTransit_ > 0, "in-transit underflow on response");
             --inTransit_;
             ++completionsPending_;
-#if MTP_OBS_ENABLED
             if (tracer_) {
                 const MemRequest &resp = completions_[core].back();
                 tracer_->stage(obs::Stage::Return, resp.addr,
                                static_cast<std::uint8_t>(resp.type),
                                core, channelOf(resp.addr), now);
             }
-#endif
         }
     }
 }

@@ -7,10 +7,9 @@
  * latency-breakdown Histograms (MRQ wait, interconnect, DRAM queueing,
  * DRAM service, response network, total round trip).
  *
- * Zero cost when disabled: hot paths hold a TraceRecorder pointer that
- * stays null unless an event stream is configured, and every call site
- * goes through MTP_OBS_HOOK — a null check when MTP_OBS_ENABLED (the
- * default), compiled out entirely with -DMTP_OBS_ENABLED=0.
+ * Near-zero cost when disabled: hot paths hold a TraceRecorder pointer
+ * that stays null unless an event stream is configured, and every call
+ * site goes through MTP_OBS_HOOK, a single predicted null check.
  *
  * The recorder is an observer only: it never feeds values back into
  * the simulation, so enabling it cannot change simulated results.
@@ -28,22 +27,12 @@
 #include "common/types.hh"
 #include "obs/sink.hh"
 
-#ifndef MTP_OBS_ENABLED
-#define MTP_OBS_ENABLED 1
-#endif
-
-#if MTP_OBS_ENABLED
 /** Invoke @p call on tracer pointer @p ptr when tracing is attached. */
 #define MTP_OBS_HOOK(ptr, call) \
     do { \
         if (ptr) \
             (ptr)->call; \
     } while (0)
-#else
-#define MTP_OBS_HOOK(ptr, call) \
-    do { \
-    } while (0)
-#endif
 
 namespace mtp {
 namespace obs {

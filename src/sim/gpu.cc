@@ -1,30 +1,15 @@
 #include "sim/gpu.hh"
 
 #include <algorithm>
-
-#include "common/log.hh"
-
-#if MTP_OBS_ENABLED
 #include <atomic>
 #include <string>
 
+#include "common/log.hh"
 #include "obs/flight_recorder.hh"
 #include "obs/host_profiler.hh"
 
-// Host-profiler scope against the per-run-loop hoisted `hp` bool: the
-// per-iteration disabled cost is a predicted branch, and the noobs
-// overhead-gate stack compiles the hook out entirely.
-#define MTP_HOST_SCOPE(var, phase) \
-    obs::HostScope var(obs::HostPhase::phase, hp)
-#else
-#define MTP_HOST_SCOPE(var, phase) \
-    do { \
-    } while (0)
-#endif
-
 namespace mtp {
 
-#if MTP_OBS_ENABLED
 namespace {
 
 /** Global run sequence for flight-recorder gauge namespaces. */
@@ -36,7 +21,6 @@ nextHostRunSeq()
 }
 
 } // namespace
-#endif
 
 Gpu::Gpu(const SimConfig &cfg, const KernelDesc &kernel,
          obs::Observer *obs)
@@ -76,7 +60,6 @@ Gpu::Gpu(const SimConfig &cfg, const KernelDesc &kernel,
         endBlockOfCore_[0] = blocks;
     }
 
-#if MTP_OBS_ENABLED
     if (!obs && cfg_.throttleEnable && obs::throttleTraceEnvEnabled()) {
         // Legacy MTP_THROTTLE_TRACE alias: throttle period updates to
         // stderr, now as JSONL through the sink API.
@@ -87,9 +70,6 @@ Gpu::Gpu(const SimConfig &cfg, const KernelDesc &kernel,
     }
     if (obs && obs->config().enabled())
         attachObserver(obs);
-#else
-    (void)obs;
-#endif
 }
 
 void
@@ -287,13 +267,11 @@ Gpu::step()
             }
         }
     }
-#if MTP_OBS_ENABLED
     // Sample after every component ticked this cycle: the row reflects
     // end-of-cycle state. Reading counters has no side effects, so the
     // step stays bit-identical with sampling on or off.
     if (obs_ && obs_->sampler().due(now_))
         obs_->sampler().sample(now_);
-#endif
     ++now_;
 }
 
@@ -349,10 +327,8 @@ Gpu::run()
     else
         runNaive();
     RunResult result = summarize();
-#if MTP_OBS_ENABLED
     if (obs_)
         obs_->finish();
-#endif
     return result;
 }
 
@@ -381,14 +357,14 @@ Gpu::runQueued()
     coreSettledTo_.assign(n, 0);
     rrSyncedAt_ = 0;
     queue_.arm(samplerId, invalidCycle);
-#if MTP_OBS_ENABLED
     if (obs_)
         queue_.arm(samplerId, obs_->sampler().nextSampleAt());
+    // Host-profiler scopes test this hoisted bool: the per-iteration
+    // disabled cost is a predicted branch.
     const bool hp = obs::HostProfiler::enabled();
     hostRunSeq_ = nextHostRunSeq();
     obs::FlightRecorder::Gauge gCycle = obs::FlightRecorder::acquireGauge(
         "run" + std::to_string(hostRunSeq_) + ".cycle");
-#endif
     while (!done()) {
         if (now_ >= cfg_.maxCycles)
             MTP_FATAL("simulation of '", kernel_.name, "' exceeded ",
@@ -417,7 +393,7 @@ Gpu::runQueued()
         // Phase order matches step(): dispatch, cores in ascending id,
         // memory, warp sample, observer sample.
         if (queue_.key(dispatchId) <= t) {
-            MTP_HOST_SCOPE(hostDispatch, Dispatch);
+            obs::HostScope hostDispatch(obs::HostPhase::Dispatch, hp);
             queue_.notePop();
             // Catch the round-robin origin up with the cycles the
             // dispatcher sat parked (it rotates once per cycle even
@@ -433,7 +409,7 @@ Gpu::runQueued()
                        dispatchPossible() ? t + 1 : invalidCycle);
         }
         {
-            MTP_HOST_SCOPE(hostCores, CoreTick);
+            obs::HostScope hostCores(obs::HostPhase::CoreTick, hp);
             for (CoreId c = 0; c < n; ++c) {
                 if (queue_.key(c) > t)
                     continue;
@@ -464,7 +440,7 @@ Gpu::runQueued()
         // into an MRQ this very cycle is visible to the occupancy
         // check — no wake edge needed for core -> mem.
         if (queue_.key(memId) <= t || mem_->mrqOccupancy() > 0) {
-            MTP_HOST_SCOPE(hostMem, MemTick);
+            obs::HostScope hostMem(obs::HostPhase::MemTick, hp);
             queue_.notePop();
             mem_->tickQueued(t);
             for (CoreId c : mem_->deliveredCores())
@@ -479,14 +455,11 @@ Gpu::runQueued()
                     ++activeWarpSamples_;
                 }
             }
-#if MTP_OBS_ENABLED
             obs::FlightRecorder::beat();
             gCycle.set(t);
-#endif
         }
-#if MTP_OBS_ENABLED
         if (obs_ && queue_.key(samplerId) <= t) {
-            MTP_HOST_SCOPE(hostSample, Sample);
+            obs::HostScope hostSample(obs::HostPhase::Sample, hp);
             queue_.notePop();
             // Sample rows read per-core cycle-accounting counters, which
             // this loop attributes lazily; settle every parked core's
@@ -503,12 +476,11 @@ Gpu::runQueued()
             obs_->recordHostSync(t);
             queue_.arm(samplerId, obs_->sampler().nextSampleAt());
         }
-#endif
         now_ = t + 1;
         if (done())
             break;
         {
-            MTP_HOST_SCOPE(hostSkip, HorizonSkip);
+            obs::HostScope hostSkip(obs::HostPhase::HorizonSkip, hp);
             // Jump straight to the earliest armed event. Capping at
             // maxCycles keeps the deadlock diagnostic identical.
             ++sched_.skipAttempts;
@@ -527,17 +499,13 @@ Gpu::runQueued()
     for (CoreId c = 0; c < n; ++c)
         if (coreSettledTo_[c] < now_)
             cores_[c]->accountSkip(coreSettledTo_[c], now_);
-#if MTP_OBS_ENABLED
     obs::FlightRecorder::releaseGauge(gCycle);
-#endif
 }
 
 RunResult
 Gpu::summarize() const
 {
-#if MTP_OBS_ENABLED
     obs::HostScope hostScope(obs::HostPhase::Summarize);
-#endif
     RunResult r;
     r.cycles = now_;
     std::uint64_t demand_count = 0;
@@ -646,15 +614,11 @@ RunResult
 simulate(const SimConfig &cfg, const KernelDesc &kernel,
          const obs::ObsConfig &ocfg)
 {
-#if MTP_OBS_ENABLED
     if (ocfg.enabled()) {
         obs::Observer observer(ocfg);
         Gpu gpu(cfg, kernel, &observer);
         return gpu.run();
     }
-#else
-    (void)ocfg;
-#endif
     return simulate(cfg, kernel);
 }
 

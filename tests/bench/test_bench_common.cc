@@ -30,6 +30,15 @@ TEST(BenchCommon, ParseArgs)
     EXPECT_EQ(cfg.numCores, 10u);
     // The throttle period scales with the grid divisor.
     EXPECT_EQ(cfg.throttlePeriod, 10000u);
+
+    // Malformed or out-of-range numbers exit naming the flag.
+    for (auto [flag, value] :
+         {std::pair{"--scale", "abc"}, std::pair{"--scale", "0"},
+          std::pair{"--jobs", "x"}, std::pair{"--sample-period", "1e3"}}) {
+        const char *bad[] = {"prog", flag, value};
+        EXPECT_EXIT(parseArgs(3, const_cast<char **>(bad)),
+                    ::testing::ExitedWithCode(1), flag);
+    }
 }
 
 TEST(BenchCommon, SelectBenchmarksFallsBack)

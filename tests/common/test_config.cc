@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 
 #include "common/config.hh"
@@ -112,6 +113,18 @@ TEST(Config, ValidateRejectsZeroes)
         SimConfig cfg;
         cfg.applyOverride(std::string(key) + "=0");
         EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1), key);
+    }
+}
+
+/** Signed or too-large integers exit naming the key; never wrap. */
+TEST(Config, OverridesRejectSignAndOverflow)
+{
+    for (const char *kv : {"numCores=-1", "memBufEntries=-1",
+                           "numCores=99999999999",
+                           "prefDegree=4294967296", "maxCycles=-1"}) {
+        std::string key(kv, std::strchr(kv, '='));
+        EXPECT_EXIT(SimConfig{}.applyOverride(kv),
+                    ::testing::ExitedWithCode(1), "'" + key + "'");
     }
 }
 

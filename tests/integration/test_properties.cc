@@ -48,8 +48,9 @@ TEST_P(PrefetcherProperty, AccountingInvariantsHold)
         EXPECT_EQ(r.warpInsts,
                   k.warpInstsPerWarp() * k.totalWarps());
         // DRAM moved at least the demanded bytes.
-        if (k.memInstsPerWarp() > 0)
+        if (k.memInstsPerWarp() > 0) {
             EXPECT_GT(r.dramBytes, 0u);
+        }
     }
 }
 

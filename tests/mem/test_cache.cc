@@ -78,8 +78,9 @@ TEST(SetAssocCache, MruNeverEvicted)
     for (unsigned i = 1; i < 32; ++i) {
         c.lookup(mru); // keep hot
         auto evicted = c.insert(static_cast<Addr>(i) * stride, 0);
-        if (evicted)
+        if (evicted) {
             EXPECT_NE(evicted->addr, mru);
+        }
     }
     EXPECT_TRUE(c.contains(mru));
 }

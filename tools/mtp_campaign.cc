@@ -141,8 +141,8 @@ class Ticker
  */
 bool
 runVolatile(const std::string &benchDir, const std::string &binary,
-            const std::string &extraFlags, const std::string &title,
-            const std::string &anchor, const Options &opts, bool smoke,
+            const std::string &title, const std::string &anchor,
+            const Options &opts, bool smoke,
             const std::string &artifact, std::vector<RawFigure> &out)
 {
     std::string bin = benchDir + "/" + binary;
@@ -154,7 +154,7 @@ runVolatile(const std::string &benchDir, const std::string &binary,
         return false;
     }
     std::string cmd = "\"" + bin + "\" --quiet --out \"" + artifact +
-                      "\"" + extraFlags;
+                      "\"";
     if (smoke)
         cmd += " --smoke";
     else
@@ -227,7 +227,9 @@ main(int argc, char **argv)
              hostProfileOut = v;
          }},
         {"--watchdog-sec", true,
-         [&](const std::string &v) { watchdogSec = std::stod(v); }},
+         [&](const std::string &v) {
+             watchdogSec = parseDouble("--watchdog-sec", v);
+         }},
     };
     Options opts = parseArgs(
         argc, argv, extra,
@@ -244,7 +246,7 @@ main(int argc, char **argv)
                     "simulation-rate benchmark, run as a subprocess");
         std::printf("%-24s %-18s %s\n", "bench_obs_overhead",
                     "(volatile)",
-                    "observability overhead guard, run as a subprocess");
+                    "observability overhead, run as a subprocess");
         return 0;
     }
 
@@ -301,18 +303,14 @@ main(int argc, char **argv)
     // figures: their timings are only meaningful on an idle machine.
     if (!skipVolatile && only.empty()) {
         std::string dir = dirnameOf(out);
-        runVolatile(benchDir, "bench_simrate", "",
+        runVolatile(benchDir, "bench_simrate",
                     "Simulation rate: naive loop vs event-driven "
                     "fast-forward",
                     "DESIGN.md §7", opts, smoke,
                     dir + "/BENCH_simrate.json", res.rawFigures);
-        std::string noobs = benchDir + "/bench_obs_overhead_noobs";
-        std::string flags;
-        if (::access(noobs.c_str(), X_OK) == 0)
-            flags = " --compare-with \"" + noobs + "\"";
-        runVolatile(benchDir, "bench_obs_overhead", flags,
-                    "Observability overhead: disabled hooks vs no-obs "
-                    "build",
+        runVolatile(benchDir, "bench_obs_overhead",
+                    "Observability overhead: tracing and host profiler "
+                    "vs disabled hooks",
                     "DESIGN.md §8", opts, smoke,
                     dir + "/BENCH_obs_overhead.json", res.rawFigures);
     }

@@ -724,9 +724,9 @@ main(int argc, char **argv)
             if (arg == "--gate") {
                 gate = true;
             } else if (arg == "--tol-rel") {
-                tol.relPct = std::stod(next("--tol-rel"));
+                tol.relPct = parseDouble("--tol-rel", next("--tol-rel"));
             } else if (arg == "--tol-abs") {
-                tol.abs = std::stod(next("--tol-abs"));
+                tol.abs = parseDouble("--tol-abs", next("--tol-abs"));
             } else if (arg == "--tol") {
                 std::string rule = next("--tol");
                 auto eq = rule.find_last_of('=');
@@ -735,7 +735,7 @@ main(int argc, char **argv)
                               rule, "'");
                 tol.rules.push_back(
                     {rule.substr(0, eq),
-                     std::stod(rule.substr(eq + 1))});
+                     parseDouble("--tol", rule.substr(eq + 1))});
             } else if (arg == "--help" || arg == "-h") {
                 usage(argv[0]);
                 return 0;
@@ -768,7 +768,7 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--gate") {
-            gate = std::stod(next("--gate"));
+            gate = parseDouble("--gate", next("--gate"));
         } else if (arg == "--jsonl") {
             jsonl = next("--jsonl");
         } else if (arg == "--help" || arg == "-h") {

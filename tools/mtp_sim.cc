@@ -123,10 +123,11 @@ main(int argc, char **argv)
         } else if (arg == "--throttle") {
             throttle = true;
         } else if (arg == "--scale") {
-            scale = static_cast<unsigned>(
-                std::stoul(next("--scale")));
+            scale = parseUnsigned("--scale", next("--scale"));
+            if (scale == 0)
+                MTP_FATAL("--scale must be >= 1");
         } else if (arg == "--jobs") {
-            jobs = static_cast<unsigned>(std::stoul(next("--jobs")));
+            jobs = parseUnsigned("--jobs", next("--jobs"));
             if (jobs == 0)
                 MTP_FATAL("--jobs must be >= 1");
         } else if (arg == "--stats") {
@@ -136,8 +137,8 @@ main(int argc, char **argv)
         } else if (arg == "--json") {
             json = true;
         } else if (arg == "--sample-period") {
-            ocfg.samplePeriod = static_cast<Cycle>(
-                std::stoull(next("--sample-period")));
+            ocfg.samplePeriod =
+                parseU64("--sample-period", next("--sample-period"));
         } else if (arg == "--timeseries") {
             ocfg.timeSeriesCsv = next("--timeseries");
         } else if (arg == "--events") {
@@ -152,7 +153,8 @@ main(int argc, char **argv)
                 std::string(argv[i + 1]).find('=') == std::string::npos)
                 hostProfileOut = argv[++i];
         } else if (arg == "--watchdog-sec") {
-            watchdogSec = std::stod(next("--watchdog-sec"));
+            watchdogSec =
+                parseDouble("--watchdog-sec", next("--watchdog-sec"));
             if (watchdogSec <= 0.0)
                 MTP_FATAL("--watchdog-sec must be > 0");
         } else if (arg == "--dump-kernel") {
