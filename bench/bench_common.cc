@@ -37,7 +37,7 @@ parseArgs(int argc, char **argv, const std::vector<FlagSpec> &extra,
             continue;
         }
         if (arg == "--scale" && i + 1 < argc) {
-            opts.scaleDiv = parseUnsigned("--scale", argv[++i]);
+            opts.scaleDiv = parseNumber<unsigned>("--scale", argv[++i]);
             if (opts.scaleDiv == 0)
                 MTP_FATAL("--scale must be >= 1");
             // Keep the throttle period proportional to run length.
@@ -49,11 +49,12 @@ parseArgs(int argc, char **argv, const std::vector<FlagSpec> &extra,
             while (std::getline(ss, name, ','))
                 opts.benchmarks.push_back(name);
         } else if (arg == "--jobs" && i + 1 < argc) {
-            opts.jobs = parseUnsigned("--jobs", argv[++i]);
+            opts.jobs = parseNumber<unsigned>("--jobs", argv[++i]);
             if (opts.jobs == 0)
                 MTP_FATAL("--jobs must be >= 1");
         } else if (arg == "--sample-period" && i + 1 < argc) {
-            opts.samplePeriod = parseU64("--sample-period", argv[++i]);
+            opts.samplePeriod =
+                parseNumber<std::uint64_t>("--sample-period", argv[++i]);
         } else if (arg == "--trace-out" && i + 1 < argc) {
             opts.traceOut = argv[++i];
         } else if (arg == "--json" && i + 1 < argc) {

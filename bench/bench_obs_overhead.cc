@@ -70,7 +70,7 @@ main(int argc, char **argv)
         {"--out", true, [&](const std::string &v) { out = v; }},
         {"--reps", true,
          [&](const std::string &v) {
-             reps = parseUnsigned("--reps", v);
+             reps = parseNumber<unsigned>("--reps", v);
              if (reps == 0)
                  MTP_FATAL("--reps must be >= 1");
          }},

@@ -25,11 +25,12 @@ run(Runner &runner, const Options &opts)
                    const std::string &ours) {
         t.addRow({Cell::str(name), Cell::str(paper), Cell::str(ours)});
     };
+    // The core model fixes SIMD and fetch width: latencyOther cycles
+    // per 32-thread warp, and at most one warp instruction a cycle.
     row("cores", "14, 8-wide SIMD",
         std::to_string(cfg.numCores) + ", " +
-            std::to_string(cfg.simdWidth) + "-wide SIMD");
-    row("fetch", "1 warp-inst/cycle",
-        std::to_string(cfg.fetchWidth) + " warp-inst/cycle");
+            std::to_string(warpSize / cfg.latencyOther) + "-wide SIMD");
+    row("fetch", "1 warp-inst/cycle", "1 warp-inst/cycle");
     row("decode", "5 cycles, stall on branch",
         std::to_string(cfg.decodeCycles) + " cycles, stall on branch");
     row("IMUL / FDIV / other", "16 / 32 / 4 cycles per warp",

@@ -1,9 +1,10 @@
 #include "common/config.hh"
 
 #include <charconv>
-#include <functional>
-#include <map>
+#include <limits>
 #include <ostream>
+#include <string_view>
+#include <type_traits>
 
 #include "common/bitutils.hh"
 #include "common/log.hh"
@@ -71,26 +72,135 @@ toString(SwPrefKind kind)
     MTP_PANIC("bad SwPrefKind ", static_cast<int>(kind));
 }
 
-namespace {
-
-using Setter = std::function<void(SimConfig &, const std::string &)>;
-
-/** std::from_chars over all of @p value; fatal naming @p key if not. */
 template <typename T>
 T
-parseWhole(const std::string &key, const std::string &value,
-           const char *kind)
+parseNumber(const std::string &key, const std::string &value)
 {
+    const char *kind = std::is_floating_point_v<T> ? "float"
+                       : std::is_signed_v<T>       ? "integer"
+                                                   : "unsigned";
+    const char *begin = value.data();
+    const char *end = begin + value.size();
+    int base = 10;
+    if constexpr (std::is_unsigned_v<T>) {
+        if (value.starts_with("0x") || value.starts_with("0X")) {
+            begin += 2;
+            base = 16;
+        }
+    }
     T v{};
-    const char *end = value.data() + value.size();
-    auto [ptr, ec] = std::from_chars(value.data(), end, v);
-    if (ec == std::errc::result_out_of_range)
+    std::from_chars_result r;
+    if constexpr (std::is_floating_point_v<T>)
+        r = std::from_chars(begin, end, v);
+    else
+        r = std::from_chars(begin, end, v, base);
+    if (r.ec == std::errc::result_out_of_range)
         MTP_FATAL(kind, " value '", value, "' out of range for '", key,
                   "'");
-    if (ec != std::errc() || ptr != end)
+    if (r.ec != std::errc() || r.ptr != end)
         MTP_FATAL("bad ", kind, " value '", value, "' for '", key, "'");
     return v;
 }
+
+template unsigned parseNumber(const std::string &, const std::string &);
+template std::uint16_t parseNumber(const std::string &, const std::string &);
+template std::uint64_t parseNumber(const std::string &, const std::string &);
+template std::int8_t parseNumber(const std::string &, const std::string &);
+template std::int64_t parseNumber(const std::string &, const std::string &);
+template double parseNumber(const std::string &, const std::string &);
+
+namespace {
+
+template <typename T>
+constexpr ConfigKey
+key(const char *name, T SimConfig::*member, std::type_identity_t<T> min,
+    std::type_identity_t<T> max)
+{
+    return {name, ConfigField<T>{member, min, max}};
+}
+
+constexpr unsigned tableMax = 65536; //!< prefetcher tables and queues
+constexpr double finiteMax = std::numeric_limits<double>::max();
+constexpr std::uint64_t u64Max = std::numeric_limits<std::uint64_t>::max();
+
+/**
+ * The one key list. The ranges reject values that would crash, shift
+ * out of range or spin to the cycle cap, and admit every value the
+ * harnesses, tests and examples set.
+ *
+ * The lines of removed keys are pinned: simdWidth and fetchWidth (the
+ * core model fixes both), sharedMemBytes (folded into compute) and the
+ * eventQueue and shards engine knobs.
+ */
+constexpr ConfigKey keyTable[] = {
+    key("numCores", &SimConfig::numCores, 1, 1024),
+    {"simdWidth", PinnedLine{"8"}},
+    {"fetchWidth", PinnedLine{"1"}},
+    key("decodeCycles", &SimConfig::decodeCycles, 0, 1024),
+    key("latencyOther", &SimConfig::latencyOther, 1, 1024),
+    key("latencyImul", &SimConfig::latencyImul, 1, 1024),
+    key("latencyFdiv", &SimConfig::latencyFdiv, 1, 1024),
+    key("mrqEntries", &SimConfig::mrqEntries, 1, tableMax),
+    key("mshrEntries", &SimConfig::mshrEntries, 1, tableMax),
+    key("prefMshrEntries", &SimConfig::prefMshrEntries, 0, tableMax),
+    key("maxBlocksPerCore", &SimConfig::maxBlocksPerCore, 1,
+        maxBlocksPerCoreLimit),
+    key("icntLatency", &SimConfig::icntLatency, 0, 1024),
+    key("icntCoresPerPort", &SimConfig::icntCoresPerPort, 1, 1024),
+    key("dramChannels", &SimConfig::dramChannels, 1, 64),
+    key("dramBanks", &SimConfig::dramBanks, 1, 64),
+    key("dramRowBytes", &SimConfig::dramRowBytes, blockBytes, 65536),
+    key("dramTCL", &SimConfig::dramTCL, 0, 1024),
+    key("dramTRCD", &SimConfig::dramTRCD, 0, 1024),
+    key("dramTRP", &SimConfig::dramTRP, 0, 1024),
+    key("memBufEntries", &SimConfig::memBufEntries, 1, tableMax),
+    key("dramBusBytesPerCycle", &SimConfig::dramBusBytesPerCycle, 1,
+        blockBytes),
+    key("memClockNum", &SimConfig::memClockNum, 1, 64),
+    key("memClockDen", &SimConfig::memClockDen, 1, 64),
+    key("demandPriority", &SimConfig::demandPriority, false, true),
+    key("memLatencyExtra", &SimConfig::memLatencyExtra, 0, 10000),
+    {"sharedMemBytes", PinnedLine{"16384"}},
+    key("prefCacheBytes", &SimConfig::prefCacheBytes, 1024, 1 << 20),
+    key("prefCacheAssoc", &SimConfig::prefCacheAssoc, 1, 256),
+    key("hwPref", &SimConfig::hwPref, HwPrefKind::None, HwPrefKind::MTHWP),
+    key("hwPrefWarpTraining", &SimConfig::hwPrefWarpTraining, false, true),
+    key("prefDistance", &SimConfig::prefDistance, 1, 256),
+    key("prefDegree", &SimConfig::prefDegree, 1, 64),
+    key("ipDistanceWarps", &SimConfig::ipDistanceWarps, 0, 1024),
+    key("strideRptEntries", &SimConfig::strideRptEntries, 1, tableMax),
+    key("strideRptRegionBits", &SimConfig::strideRptRegionBits, 0, 63),
+    key("stridePcEntries", &SimConfig::stridePcEntries, 1, tableMax),
+    key("streamEntries", &SimConfig::streamEntries, 1, tableMax),
+    key("ghbEntries", &SimConfig::ghbEntries, 1, tableMax),
+    key("ghbCzoneBits", &SimConfig::ghbCzoneBits, 0, 63),
+    key("ghbIndexEntries", &SimConfig::ghbIndexEntries, 1, tableMax),
+    key("pwsEntries", &SimConfig::pwsEntries, 1, tableMax),
+    key("gsEntries", &SimConfig::gsEntries, 1, tableMax),
+    key("ipEntries", &SimConfig::ipEntries, 1, tableMax),
+    key("gsPromoteCount", &SimConfig::gsPromoteCount, 0, 1024),
+    key("ipTrainCount", &SimConfig::ipTrainCount, 0, 1024),
+    key("mthwpPws", &SimConfig::mthwpPws, false, true),
+    key("mthwpGs", &SimConfig::mthwpGs, false, true),
+    key("mthwpIp", &SimConfig::mthwpIp, false, true),
+    key("throttleEnable", &SimConfig::throttleEnable, false, true),
+    key("throttlePeriod", &SimConfig::throttlePeriod, 1, 1'000'000'000),
+    key("throttleInitDegree", &SimConfig::throttleInitDegree, 0, 5),
+    key("earlyEvictHigh", &SimConfig::earlyEvictHigh, 0, finiteMax),
+    key("earlyEvictLow", &SimConfig::earlyEvictLow, 0, finiteMax),
+    // -1 makes every merge ratio read high (bench_abl_throttle_metrics).
+    key("mergeHigh", &SimConfig::mergeHigh, -1, 1),
+    key("ghbFeedback", &SimConfig::ghbFeedback, false, true),
+    key("stridePcLateThrottle", &SimConfig::stridePcLateThrottle, false, true),
+    key("schedGreedy", &SimConfig::schedGreedy, false, true),
+    key("dispatchContiguous", &SimConfig::dispatchContiguous, false, true),
+    key("perfectMemory", &SimConfig::perfectMemory, false, true),
+    key("maxCycles", &SimConfig::maxCycles, 1, u64Max),
+    key("seed", &SimConfig::seed, 0, u64Max),
+    key("fastForward", &SimConfig::fastForward, false, true),
+    {"eventQueue", PinnedLine{"1"}},
+    {"shards", PinnedLine{"1"}},
+};
 
 bool
 parseBool(const std::string &key, const std::string &value)
@@ -102,113 +212,26 @@ parseBool(const std::string &key, const std::string &value)
     MTP_FATAL("bad bool value '", value, "' for '", key, "'");
 }
 
-#define UNSIGNED_FIELD(field) \
-    {#field, [](SimConfig &c, const std::string &v) { \
-        c.field = parseUnsigned(#field, v); }}
-#define U64_FIELD(field) \
-    {#field, [](SimConfig &c, const std::string &v) { \
-        c.field = parseU64(#field, v); }}
-#define DOUBLE_FIELD(field) \
-    {#field, [](SimConfig &c, const std::string &v) { \
-        c.field = parseDouble(#field, v); }}
-#define BOOL_FIELD(field) \
-    {#field, [](SimConfig &c, const std::string &v) { \
-        c.field = parseBool(#field, v); }}
+template <typename F>
+constexpr bool isPinned = std::is_same_v<F, PinnedLine>;
 
-const std::map<std::string, Setter> &
-setters()
+/** A field value as dump() and validate() print it. */
+template <typename T>
+auto
+printable(const T &v)
 {
-    static const std::map<std::string, Setter> table = {
-        UNSIGNED_FIELD(numCores),
-        UNSIGNED_FIELD(simdWidth),
-        UNSIGNED_FIELD(fetchWidth),
-        UNSIGNED_FIELD(decodeCycles),
-        UNSIGNED_FIELD(latencyOther),
-        UNSIGNED_FIELD(latencyImul),
-        UNSIGNED_FIELD(latencyFdiv),
-        UNSIGNED_FIELD(mrqEntries),
-        UNSIGNED_FIELD(mshrEntries),
-        UNSIGNED_FIELD(prefMshrEntries),
-        UNSIGNED_FIELD(maxBlocksPerCore),
-        UNSIGNED_FIELD(icntLatency),
-        UNSIGNED_FIELD(icntCoresPerPort),
-        UNSIGNED_FIELD(dramChannels),
-        UNSIGNED_FIELD(dramBanks),
-        UNSIGNED_FIELD(dramRowBytes),
-        UNSIGNED_FIELD(dramTCL),
-        UNSIGNED_FIELD(dramTRCD),
-        UNSIGNED_FIELD(dramTRP),
-        UNSIGNED_FIELD(memBufEntries),
-        UNSIGNED_FIELD(dramBusBytesPerCycle),
-        UNSIGNED_FIELD(memClockNum),
-        UNSIGNED_FIELD(memClockDen),
-        BOOL_FIELD(demandPriority),
-        UNSIGNED_FIELD(memLatencyExtra),
-        UNSIGNED_FIELD(sharedMemBytes),
-        UNSIGNED_FIELD(prefCacheBytes),
-        UNSIGNED_FIELD(prefCacheAssoc),
-        {"hwPref", [](SimConfig &c, const std::string &v) {
-             c.hwPref = parseHwPrefKind(v); }},
-        BOOL_FIELD(hwPrefWarpTraining),
-        UNSIGNED_FIELD(prefDistance),
-        UNSIGNED_FIELD(prefDegree),
-        UNSIGNED_FIELD(ipDistanceWarps),
-        UNSIGNED_FIELD(strideRptEntries),
-        UNSIGNED_FIELD(strideRptRegionBits),
-        UNSIGNED_FIELD(stridePcEntries),
-        UNSIGNED_FIELD(streamEntries),
-        UNSIGNED_FIELD(ghbEntries),
-        UNSIGNED_FIELD(ghbCzoneBits),
-        UNSIGNED_FIELD(ghbIndexEntries),
-        UNSIGNED_FIELD(pwsEntries),
-        UNSIGNED_FIELD(gsEntries),
-        UNSIGNED_FIELD(ipEntries),
-        UNSIGNED_FIELD(gsPromoteCount),
-        UNSIGNED_FIELD(ipTrainCount),
-        BOOL_FIELD(mthwpPws),
-        BOOL_FIELD(mthwpGs),
-        BOOL_FIELD(mthwpIp),
-        BOOL_FIELD(throttleEnable),
-        U64_FIELD(throttlePeriod),
-        UNSIGNED_FIELD(throttleInitDegree),
-        DOUBLE_FIELD(earlyEvictHigh),
-        DOUBLE_FIELD(earlyEvictLow),
-        DOUBLE_FIELD(mergeHigh),
-        BOOL_FIELD(ghbFeedback),
-        BOOL_FIELD(stridePcLateThrottle),
-        BOOL_FIELD(schedGreedy),
-        BOOL_FIELD(dispatchContiguous),
-        BOOL_FIELD(perfectMemory),
-        U64_FIELD(maxCycles),
-        U64_FIELD(seed),
-        BOOL_FIELD(fastForward),
-    };
-    return table;
+    if constexpr (std::is_same_v<T, HwPrefKind>)
+        return toString(v);
+    else
+        return v;
 }
-
-#undef UNSIGNED_FIELD
-#undef U64_FIELD
-#undef DOUBLE_FIELD
-#undef BOOL_FIELD
 
 } // namespace
 
-unsigned
-parseUnsigned(const std::string &key, const std::string &value)
+std::span<const ConfigKey>
+configKeys()
 {
-    return parseWhole<unsigned>(key, value, "unsigned");
-}
-
-std::uint64_t
-parseU64(const std::string &key, const std::string &value)
-{
-    return parseWhole<std::uint64_t>(key, value, "unsigned");
-}
-
-double
-parseDouble(const std::string &key, const std::string &value)
-{
-    return parseWhole<double>(key, value, "float");
+    return keyTable;
 }
 
 SimConfig &
@@ -219,11 +242,21 @@ SimConfig::applyOverride(const std::string &kv)
         MTP_FATAL("config override '", kv, "' is not of the form key=value");
     std::string key = kv.substr(0, eq);
     std::string value = kv.substr(eq + 1);
-    auto it = setters().find(key);
-    if (it == setters().end())
-        MTP_FATAL("unknown config key '", key, "'");
-    it->second(*this, value);
-    return *this;
+    for (const ConfigKey &k : keyTable) {
+        if (key != k.name || std::holds_alternative<PinnedLine>(k.field))
+            continue;
+        std::visit([&](const auto &f) {
+            using F = std::decay_t<decltype(f)>;
+            if constexpr (std::is_same_v<F, ConfigField<bool>>)
+                this->*f.member = parseBool(key, value);
+            else if constexpr (std::is_same_v<F, ConfigField<HwPrefKind>>)
+                this->*f.member = parseHwPrefKind(value);
+            else if constexpr (!isPinned<F>)
+                this->*f.member = parseNumber<decltype(f.min)>(key, value);
+        }, k.field);
+        return *this;
+    }
+    MTP_FATAL("unknown config key '", key, "'");
 }
 
 SimConfig &
@@ -237,106 +270,44 @@ SimConfig::applyOverrides(const std::vector<std::string> &kvs)
 void
 SimConfig::validate() const
 {
-    if (numCores == 0)
-        MTP_FATAL("numCores must be > 0");
-    if (simdWidth == 0 || warpSize % simdWidth != 0)
-        MTP_FATAL("simdWidth must divide the warp size (32)");
-    if (!isPowerOf2(prefCacheBytes) || prefCacheBytes < blockBytes)
-        MTP_FATAL("prefCacheBytes must be a power of two >= ", blockBytes);
-    unsigned pref_blocks = prefCacheBytes / blockBytes;
-    if (prefCacheAssoc == 0 || pref_blocks % prefCacheAssoc != 0)
+    for (const ConfigKey &k : keyTable) {
+        std::visit([&](const auto &f) {
+            if constexpr (!isPinned<std::decay_t<decltype(f)>>) {
+                // Written so that NaN fails too.
+                const auto &v = this->*f.member;
+                if (!(v >= f.min && v <= f.max))
+                    MTP_FATAL(k.name, " = ", printable(v), " is outside [",
+                              printable(f.min), ", ", printable(f.max), "]");
+            }
+        }, k.field);
+    }
+    if (!isPowerOf2(prefCacheBytes))
+        MTP_FATAL("prefCacheBytes must be a power of two");
+    if ((prefCacheBytes / blockBytes) % prefCacheAssoc != 0)
         MTP_FATAL("prefCacheAssoc must divide the prefetch cache blocks");
-    if (!isPowerOf2(dramRowBytes) || dramRowBytes < blockBytes)
-        MTP_FATAL("dramRowBytes must be a power of two >= ", blockBytes);
-    if (dramChannels == 0 || dramBanks == 0)
-        MTP_FATAL("dramChannels and dramBanks must be > 0");
-    if (memClockNum == 0 || memClockDen == 0)
-        MTP_FATAL("memory clock ratio must be positive");
-    if (prefDegree == 0 || prefDistance == 0)
-        MTP_FATAL("prefDegree and prefDistance must be >= 1");
-    if (throttleInitDegree > 5)
-        MTP_FATAL("throttleInitDegree must be in [0,5]");
-    if (mrqEntries == 0 || memBufEntries == 0 || mshrEntries == 0)
-        MTP_FATAL("queue sizes must be > 0");
-    if (icntCoresPerPort == 0)
-        MTP_FATAL("icntCoresPerPort must be > 0");
-    if (maxBlocksPerCore == 0)
-        MTP_FATAL("maxBlocksPerCore must be > 0");
-    if (dramBusBytesPerCycle == 0)
-        MTP_FATAL("dramBusBytesPerCycle must be > 0");
-    if (throttlePeriod == 0)
-        MTP_FATAL("throttlePeriod must be > 0");
+    if (!isPowerOf2(dramRowBytes))
+        MTP_FATAL("dramRowBytes must be a power of two");
 }
 
 void
 SimConfig::dump(std::ostream &os) const
 {
-    os << "numCores = " << numCores << '\n'
-       << "simdWidth = " << simdWidth << '\n'
-       << "fetchWidth = " << fetchWidth << '\n'
-       << "decodeCycles = " << decodeCycles << '\n'
-       << "latencyOther = " << latencyOther << '\n'
-       << "latencyImul = " << latencyImul << '\n'
-       << "latencyFdiv = " << latencyFdiv << '\n'
-       << "mrqEntries = " << mrqEntries << '\n'
-       << "mshrEntries = " << mshrEntries << '\n'
-       << "prefMshrEntries = " << prefMshrEntries << '\n'
-       << "maxBlocksPerCore = " << maxBlocksPerCore << '\n'
-       << "icntLatency = " << icntLatency << '\n'
-       << "icntCoresPerPort = " << icntCoresPerPort << '\n'
-       << "dramChannels = " << dramChannels << '\n'
-       << "dramBanks = " << dramBanks << '\n'
-       << "dramRowBytes = " << dramRowBytes << '\n'
-       << "dramTCL = " << dramTCL << '\n'
-       << "dramTRCD = " << dramTRCD << '\n'
-       << "dramTRP = " << dramTRP << '\n'
-       << "memBufEntries = " << memBufEntries << '\n'
-       << "dramBusBytesPerCycle = " << dramBusBytesPerCycle << '\n'
-       << "memClock = " << memClockNum << '/' << memClockDen << '\n'
-       << "demandPriority = " << demandPriority << '\n'
-       << "memLatencyExtra = " << memLatencyExtra << '\n'
-       << "sharedMemBytes = " << sharedMemBytes << '\n'
-       << "prefCacheBytes = " << prefCacheBytes << '\n'
-       << "prefCacheAssoc = " << prefCacheAssoc << '\n'
-       << "hwPref = " << toString(hwPref) << '\n'
-       << "hwPrefWarpTraining = " << hwPrefWarpTraining << '\n'
-       << "prefDistance = " << prefDistance << '\n'
-       << "prefDegree = " << prefDegree << '\n'
-       << "ipDistanceWarps = " << ipDistanceWarps << '\n'
-       << "strideRptEntries = " << strideRptEntries << '\n'
-       << "strideRptRegionBits = " << strideRptRegionBits << '\n'
-       << "stridePcEntries = " << stridePcEntries << '\n'
-       << "streamEntries = " << streamEntries << '\n'
-       << "ghbEntries = " << ghbEntries << '\n'
-       << "ghbCzoneBits = " << ghbCzoneBits << '\n'
-       << "ghbIndexEntries = " << ghbIndexEntries << '\n'
-       << "pwsEntries = " << pwsEntries << '\n'
-       << "gsEntries = " << gsEntries << '\n'
-       << "ipEntries = " << ipEntries << '\n'
-       << "gsPromoteCount = " << gsPromoteCount << '\n'
-       << "ipTrainCount = " << ipTrainCount << '\n'
-       << "mthwpPws = " << mthwpPws << '\n'
-       << "mthwpGs = " << mthwpGs << '\n'
-       << "mthwpIp = " << mthwpIp << '\n'
-       << "throttleEnable = " << throttleEnable << '\n'
-       << "throttlePeriod = " << throttlePeriod << '\n'
-       << "throttleInitDegree = " << throttleInitDegree << '\n'
-       << "earlyEvictHigh = " << earlyEvictHigh << '\n'
-       << "earlyEvictLow = " << earlyEvictLow << '\n'
-       << "mergeHigh = " << mergeHigh << '\n'
-       << "ghbFeedback = " << ghbFeedback << '\n'
-       << "stridePcLateThrottle = " << stridePcLateThrottle << '\n'
-       << "schedGreedy = " << schedGreedy << '\n'
-       << "dispatchContiguous = " << dispatchContiguous << '\n'
-       << "perfectMemory = " << perfectMemory << '\n'
-       << "maxCycles = " << maxCycles << '\n'
-       << "seed = " << seed << '\n'
-       << "fastForward = " << fastForward << '\n'
-       // Fixed text for two removed engine knobs: run fingerprints hash
-       // this dump, and committed manifests and golden files carry
-       // those fingerprints, so the bytes must not change.
-       << "eventQueue = 1\n"
-       << "shards = 1\n";
+    for (const ConfigKey &k : keyTable) {
+        // The clock ratio's two keys share one "memClock = N/D" line.
+        std::string_view name = k.name;
+        if (name == "memClockNum")
+            os << "memClock = " << memClockNum << '/' << memClockDen << '\n';
+        if (name == "memClockNum" || name == "memClockDen")
+            continue;
+        std::visit([&](const auto &f) {
+            os << k.name << " = ";
+            if constexpr (isPinned<std::decay_t<decltype(f)>>)
+                os << f.value;
+            else
+                os << printable(this->*f.member);
+            os << '\n';
+        }, k.field);
+    }
 }
 
 } // namespace mtp

@@ -12,7 +12,9 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "common/types.hh"
@@ -47,27 +49,33 @@ std::string toString(HwPrefKind kind);
 std::string toString(SwPrefKind kind);
 
 /**
- * Checked number parsers for config values and CLI flags: the whole of
- * @p value must parse as the result type, so a sign on an unsigned
- * type, trailing text or an out-of-range value exits 1 with one line
- * naming @p key (a config key or a flag such as "--scale").
+ * Checked number parser for config values, CLI flags and kernel files:
+ * the whole of @p value must parse as T (std::from_chars; an unsigned T
+ * also takes 0x hex), so a sign on an unsigned type, trailing text or
+ * an out-of-range value exits 1 with one line naming @p key (a config
+ * key, a flag such as "--scale" or a kernel file's file:line).
  */
-unsigned parseUnsigned(const std::string &key, const std::string &value);
-std::uint64_t parseU64(const std::string &key, const std::string &value);
-double parseDouble(const std::string &key, const std::string &value);
+template <typename T>
+T parseNumber(const std::string &key, const std::string &value);
+
+/** Largest maxBlocksPerCore a config key or a kernel may ask for. */
+inline constexpr unsigned maxBlocksPerCoreLimit = 32;
 
 /**
  * Complete configuration of one simulation. Aggregate-initializable;
- * every field has the paper's baseline value as default.
+ * every field has the paper's baseline value as default and one entry
+ * in the key table (configKeys()), which gives its override name and
+ * accepted range.
  */
 struct SimConfig
 {
     // ------------------------------------------------------------------
-    // Cores (Table II: 14 cores, 8-wide SIMD, 900 MHz, in-order)
+    // Cores (Table II: 14 cores, 8-wide SIMD, 900 MHz, in-order). The
+    // core model fixes SIMD and fetch width: it issues at most one warp
+    // instruction per cycle, and latencyOther's 4 cycles per 32-thread
+    // warp are what 8 lanes give.
     // ------------------------------------------------------------------
     unsigned numCores = 14;       //!< number of SIMT cores
-    unsigned simdWidth = 8;       //!< SIMD lanes per core
-    unsigned fetchWidth = 1;      //!< warp-instructions fetched per cycle
     unsigned decodeCycles = 5;    //!< decode depth; stall on branch
     unsigned latencyOther = 4;    //!< cycles/warp for ordinary instructions
     unsigned latencyImul = 16;    //!< cycles/warp for integer multiply
@@ -117,9 +125,9 @@ struct SimConfig
     unsigned memLatencyExtra = 600;
 
     // ------------------------------------------------------------------
-    // On-chip storage (Table II)
+    // On-chip storage (Table II; shared memory is folded into compute
+    // instructions, DESIGN.md §1)
     // ------------------------------------------------------------------
-    unsigned sharedMemBytes = 16 * 1024; //!< software-managed cache
     unsigned prefCacheBytes = 16 * 1024; //!< prefetch cache capacity
     unsigned prefCacheAssoc = 8;         //!< prefetch cache associativity
 
@@ -217,19 +225,58 @@ struct SimConfig
 
     /**
      * Apply a textual "key=value" override (used by bench/example CLIs).
-     * Unknown keys are fatal. @return *this for chaining.
+     * Unknown keys and unparsable values are fatal; ranges are checked
+     * by validate(). @return *this for chaining.
      */
     SimConfig &applyOverride(const std::string &kv);
 
     /** Apply a list of overrides (e.g. argv tail). */
     SimConfig &applyOverrides(const std::vector<std::string> &kvs);
 
-    /** Validate invariants (power-of-two sizes etc.); fatal on violation. */
+    /** Check each key's [min, max], then cross-field rules; fatal if not. */
     void validate() const;
 
-    /** Print every field as "key = value" lines. */
+    /**
+     * Print the key table as "key = value" lines in table order;
+     * memClockNum and memClockDen share one "memClock = N/D" line.
+     */
     void dump(std::ostream &os) const;
 };
+
+/** One settable key: the member it sets and its accepted [min, max]. */
+template <typename T>
+struct ConfigField
+{
+    T SimConfig::*member;
+    T min;
+    T max;
+};
+
+/**
+ * The fixed dump value of a removed key: run fingerprints hash the
+ * dump, so it keeps its line, but applyOverride() rejects its name.
+ */
+struct PinnedLine
+{
+    const char *value;
+};
+
+/** One row of the SimConfig key table. */
+struct ConfigKey
+{
+    const char *name; //!< override key and dump label
+    std::variant<ConfigField<unsigned>, ConfigField<std::uint64_t>,
+                 ConfigField<double>, ConfigField<bool>,
+                 ConfigField<HwPrefKind>, PinnedLine>
+        field;
+};
+
+/**
+ * The key table in dump order: one ConfigField per SimConfig member,
+ * plus the pinned lines. applyOverride(), validate() and dump() are
+ * each one loop over it.
+ */
+std::span<const ConfigKey> configKeys();
 
 } // namespace mtp
 

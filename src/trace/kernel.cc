@@ -1,5 +1,6 @@
 #include "trace/kernel.hh"
 
+#include "common/config.hh"
 #include "common/log.hh"
 
 namespace mtp {
@@ -7,11 +8,18 @@ namespace mtp {
 void
 KernelDesc::finalize()
 {
-    MTP_ASSERT(!segments.empty(), "kernel '", name, "' has no segments");
+    if (segments.empty())
+        MTP_FATAL("kernel '", name, "' has no segments");
     if (warpsPerBlock == 0 || numBlocks == 0)
         MTP_FATAL("kernel '", name, "' has an empty launch grid");
-    if (maxBlocksPerCore == 0)
-        MTP_FATAL("kernel '", name, "' allows zero blocks per core");
+    // A core allocates warp slots for warpsPerBlock x maxBlocksPerCore.
+    if (warpsPerBlock > maxWarpsPerBlock)
+        MTP_FATAL("kernel '", name, "' has ", warpsPerBlock,
+                  " warps per block; the limit is ", maxWarpsPerBlock);
+    if (maxBlocksPerCore == 0 || maxBlocksPerCore > maxBlocksPerCoreLimit)
+        MTP_FATAL("kernel '", name, "' allows ", maxBlocksPerCore,
+                  " blocks per core; the range is [1, ",
+                  maxBlocksPerCoreLimit, "]");
 
     Pc next_pc = 4; // leave 0 free as a sentinel
     for (auto &seg : segments) {

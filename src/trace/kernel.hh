@@ -32,6 +32,9 @@ struct Segment
     bool isLoop() const { return trips > 1; }
 };
 
+/** Most warps in one thread block: CUDA's 1024-thread block. */
+inline constexpr unsigned maxWarpsPerBlock = 32;
+
 /** A complete kernel launch description. */
 class KernelDesc
 {
@@ -44,9 +47,10 @@ class KernelDesc
 
     /**
      * Assign unique PCs to every static instruction and validate the
-     * program (slot ranges, loop structure). Must be called once after
-     * construction and before simulation; re-finalizing after a
-     * transform is allowed and reassigns PCs.
+     * program (grid limits, slot ranges, loop structure); fatal on a
+     * violation. Must be called once after construction and before
+     * simulation; re-finalizing after a transform is allowed and
+     * reassigns PCs.
      */
     void finalize();
 

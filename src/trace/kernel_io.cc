@@ -1,8 +1,11 @@
 #include "trace/kernel_io.hh"
 
+#include <array>
+#include <cctype>
 #include <fstream>
 #include <sstream>
 
+#include "common/config.hh"
 #include "common/log.hh"
 
 namespace mtp {
@@ -20,49 +23,6 @@ writePattern(std::ostream &os, const AddressPattern &p)
            << p.scatterSalt;
 }
 
-/** Parse an unsigned (decimal or 0x hex) token. */
-std::uint64_t
-parseNum(const std::string &tok, const std::string &ctx)
-{
-    try {
-        std::size_t pos = 0;
-        std::uint64_t v = std::stoull(tok, &pos, 0);
-        if (pos != tok.size())
-            throw std::invalid_argument(tok);
-        return v;
-    } catch (const std::exception &) {
-        MTP_FATAL(ctx, ": bad number '", tok, "'");
-    }
-}
-
-std::int64_t
-parseSigned(const std::string &tok, const std::string &ctx)
-{
-    try {
-        std::size_t pos = 0;
-        std::int64_t v = std::stoll(tok, &pos, 0);
-        if (pos != tok.size())
-            throw std::invalid_argument(tok);
-        return v;
-    } catch (const std::exception &) {
-        MTP_FATAL(ctx, ": bad number '", tok, "'");
-    }
-}
-
-double
-parseDouble(const std::string &tok, const std::string &ctx)
-{
-    try {
-        std::size_t pos = 0;
-        double v = std::stod(tok, &pos);
-        if (pos != tok.size())
-            throw std::invalid_argument(tok);
-        return v;
-    } catch (const std::exception &) {
-        MTP_FATAL(ctx, ": bad number '", tok, "'");
-    }
-}
-
 /**
  * Parse the pattern fields starting at @p idx of @p toks; advances idx
  * past the consumed fields.
@@ -74,19 +34,33 @@ parsePattern(const std::vector<std::string> &toks, std::size_t &idx,
     if (idx + 4 > toks.size())
         MTP_FATAL(ctx, ": truncated address pattern");
     AddressPattern p;
-    p.base = parseNum(toks[idx++], ctx);
-    p.threadStride = parseSigned(toks[idx++], ctx);
-    p.iterStride = parseSigned(toks[idx++], ctx);
-    p.elemBytes = static_cast<unsigned>(parseNum(toks[idx++], ctx));
+    p.base = parseNumber<Addr>(ctx, toks[idx++]);
+    p.threadStride = parseNumber<Stride>(ctx, toks[idx++]);
+    p.iterStride = parseNumber<Stride>(ctx, toks[idx++]);
+    p.elemBytes = parseNumber<unsigned>(ctx, toks[idx++]);
     // Optional scatter triple: detect by a leading numeric token that
     // parses as a fraction.
-    if (idx + 3 <= toks.size() && !toks[idx].empty() &&
-        (std::isdigit(toks[idx][0]) || toks[idx][0] == '.')) {
-        p.scatterFrac = parseDouble(toks[idx++], ctx);
-        p.scatterSpan = parseNum(toks[idx++], ctx);
-        p.scatterSalt = parseNum(toks[idx++], ctx);
+    if (idx + 3 <= toks.size() &&
+        (std::isdigit(static_cast<unsigned char>(toks[idx][0])) ||
+         toks[idx][0] == '.')) {
+        p.scatterFrac = parseNumber<double>(ctx, toks[idx++]);
+        p.scatterSpan = parseNumber<Addr>(ctx, toks[idx++]);
+        p.scatterSalt = parseNumber<std::uint64_t>(ctx, toks[idx++]);
     }
     return p;
+}
+
+/** Parse the optional "src_a src_b" pair that ends @p toks at @p idx. */
+std::array<std::int8_t, 2>
+parseSrcPair(const std::vector<std::string> &toks, std::size_t idx,
+             const std::string &ctx)
+{
+    if (toks.size() == idx)
+        return {-1, -1};
+    if (toks.size() != idx + 2)
+        MTP_FATAL(ctx, ": '", toks[0], "' takes zero or two source slots");
+    return {parseNumber<std::int8_t>(ctx, toks[idx]),
+            parseNumber<std::int8_t>(ctx, toks[idx + 1])};
 }
 
 std::vector<std::string>
@@ -186,77 +160,61 @@ readKernel(std::istream &is, const std::string &source)
         } else if (cmd == "grid") {
             if (toks.size() != 4)
                 MTP_FATAL(ctx, ": 'grid' needs 3 fields");
-            k.warpsPerBlock =
-                static_cast<unsigned>(parseNum(toks[1], ctx));
-            k.numBlocks = parseNum(toks[2], ctx);
-            k.maxBlocksPerCore =
-                static_cast<unsigned>(parseNum(toks[3], ctx));
+            k.warpsPerBlock = parseNumber<unsigned>(ctx, toks[1]);
+            k.numBlocks = parseNumber<std::uint64_t>(ctx, toks[2]);
+            k.maxBlocksPerCore = parseNumber<unsigned>(ctx, toks[3]);
             saw_grid = true;
         } else if (cmd == "segment") {
             if (toks.size() != 2)
                 MTP_FATAL(ctx, ": 'segment' needs a trip count");
             k.segments.emplace_back();
             seg = &k.segments.back();
-            seg->trips =
-                static_cast<std::uint32_t>(parseNum(toks[1], ctx));
+            seg->trips = parseNumber<std::uint32_t>(ctx, toks[1]);
         } else if (cmd == "end") {
             seg = nullptr;
         } else {
             if (!seg)
                 MTP_FATAL(ctx, ": instruction outside a segment");
             StaticInst inst;
-            std::size_t idx = 1;
             if (cmd == "comp") {
-                inst = StaticInst::comp(static_cast<unsigned>(
-                    parseNum(toks.at(1), ctx)));
-                idx = 2;
-                if (idx + 2 <= toks.size()) {
-                    inst.srcSlots = {
-                        static_cast<std::int8_t>(
-                            parseSigned(toks[idx], ctx)),
-                        static_cast<std::int8_t>(
-                            parseSigned(toks[idx + 1], ctx))};
-                }
+                if (toks.size() < 2)
+                    MTP_FATAL(ctx, ": 'comp' needs a repeat count");
+                inst = StaticInst::comp(
+                    parseNumber<std::uint16_t>(ctx, toks[1]));
+                inst.srcSlots = parseSrcPair(toks, 2, ctx);
             } else if (cmd == "imul" || cmd == "fdiv") {
                 inst = cmd == "imul" ? StaticInst::imul()
                                      : StaticInst::fdiv();
-                if (toks.size() >= 3) {
-                    inst.srcSlots = {
-                        static_cast<std::int8_t>(parseSigned(toks[1],
-                                                             ctx)),
-                        static_cast<std::int8_t>(parseSigned(toks[2],
-                                                             ctx))};
-                }
+                inst.srcSlots = parseSrcPair(toks, 1, ctx);
             } else if (cmd == "branch") {
                 inst = StaticInst::branch();
             } else if (cmd == "load") {
-                int dest = static_cast<int>(
-                    parseSigned(toks.at(1), ctx));
-                idx = 2;
+                std::size_t idx = 2;
                 AddressPattern p = parsePattern(toks, idx, ctx);
+                auto dest = parseNumber<std::int8_t>(ctx, toks[1]);
+                if (dest < 0)
+                    MTP_FATAL(ctx, ": 'load' needs a destination slot");
                 inst = StaticInst::load(p, dest);
                 for (; idx < toks.size(); ++idx) {
                     if (toks[idx] == "noswp")
                         inst.swPrefetchable = false;
                     else if (toks[idx] == "regpref")
                         inst.regPrefetch = true;
-                    else if (toks[idx].rfind("src=", 0) == 0)
-                        inst.srcSlots[0] = static_cast<std::int8_t>(
-                            parseSigned(toks[idx].substr(4), ctx));
+                    else if (toks[idx].starts_with("src="))
+                        inst.srcSlots[0] = parseNumber<std::int8_t>(
+                            ctx, toks[idx].substr(4));
                     else
                         MTP_FATAL(ctx, ": unknown load flag '",
                                   toks[idx], "'");
                 }
             } else if (cmd == "store") {
-                int src =
-                    static_cast<int>(parseSigned(toks.at(1), ctx));
-                idx = 2;
+                std::size_t idx = 2;
                 AddressPattern p = parsePattern(toks, idx, ctx);
-                inst = StaticInst::store(p, src);
+                inst = StaticInst::store(
+                    p, parseNumber<std::int8_t>(ctx, toks[1]));
             } else if (cmd == "pref") {
-                idx = 1;
-                AddressPattern p = parsePattern(toks, idx, ctx);
-                inst = StaticInst::prefetch(p);
+                std::size_t idx = 1;
+                inst = StaticInst::prefetch(parsePattern(toks, idx, ctx));
             } else {
                 MTP_FATAL(ctx, ": unknown directive '", cmd, "'");
             }

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <sstream>
+#include <type_traits>
 
 #include "common/config.hh"
 #include "driver/fingerprint.hh"
@@ -13,7 +16,6 @@ TEST(Config, DefaultsMatchTableII)
 {
     SimConfig cfg;
     EXPECT_EQ(cfg.numCores, 14u);
-    EXPECT_EQ(cfg.simdWidth, 8u);
     EXPECT_EQ(cfg.latencyImul, 16u);
     EXPECT_EQ(cfg.latencyFdiv, 32u);
     EXPECT_EQ(cfg.latencyOther, 4u);
@@ -103,6 +105,158 @@ TEST(Config, DumpBytesArePinned)
                 ::testing::ExitedWithCode(1), "unknown config key");
     EXPECT_EXIT(SimConfig{}.applyOverride("shards=2"),
                 ::testing::ExitedWithCode(1), "unknown config key");
+}
+
+/**
+ * A dump with every key moved off its default, pinned for the same
+ * reason as the default one: it covers the formatting of every value
+ * type (bools as 0/1, doubles through the stream, the one-line memory
+ * clock ratio, the enum by name). The removed simdWidth, fetchWidth
+ * and sharedMemBytes keys keep fixed lines but no longer parse.
+ */
+TEST(Config, NonDefaultDumpBytesArePinned)
+{
+    SimConfig cfg;
+    for (const ConfigKey &k : configKeys()) {
+        std::visit([&](const auto &f) {
+            using F = std::decay_t<decltype(f)>;
+            if constexpr (std::is_same_v<F, ConfigField<bool>>)
+                cfg.*f.member = !(cfg.*f.member);
+            else if constexpr (std::is_same_v<F, ConfigField<HwPrefKind>>)
+                cfg.*f.member = HwPrefKind::MTHWP;
+            else if constexpr (std::is_same_v<F, ConfigField<double>>)
+                cfg.*f.member = cfg.*f.member + 1.0 / 3;
+            else if constexpr (!std::is_same_v<F, PinnedLine>)
+                cfg.*f.member = cfg.*f.member + 1;
+        }, k.field);
+    }
+    std::ostringstream os;
+    cfg.dump(os);
+    driver::Fnv1a hash;
+    hash.add(os.str());
+    EXPECT_EQ(hash.value(), 0xe62bd7ae841ba25cULL) << os.str();
+    for (const char *kv :
+         {"simdWidth=8", "fetchWidth=1", "sharedMemBytes=16384"})
+        EXPECT_EXIT(SimConfig{}.applyOverride(kv),
+                    ::testing::ExitedWithCode(1), "unknown config key");
+}
+
+/** Converts to any field type, so T{AnyField{}...} counts T's fields. */
+struct AnyField
+{
+    template <typename T>
+    operator T() const;
+};
+
+template <typename T, typename... Fields>
+constexpr std::size_t
+fieldCount()
+{
+    if constexpr (requires { T{Fields{}..., AnyField{}}; })
+        return fieldCount<T, Fields..., AnyField>();
+    else
+        return sizeof...(Fields);
+}
+
+/**
+ * Every SimConfig member has exactly one table entry: as many member
+ * entries as the aggregate has fields, and no member twice. A new
+ * member without an entry fails here rather than going unchecked.
+ */
+TEST(Config, TableCoversEveryMember)
+{
+    auto keys = configKeys();
+    std::size_t members = 0;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        if (!std::holds_alternative<PinnedLine>(keys[i].field))
+            ++members;
+        for (std::size_t j = i + 1; j < keys.size(); ++j) {
+            EXPECT_STRNE(keys[i].name, keys[j].name);
+            std::visit([&](const auto &a, const auto &b) {
+                using A = std::decay_t<decltype(a)>;
+                using B = std::decay_t<decltype(b)>;
+                if constexpr (std::is_same_v<A, B> &&
+                              !std::is_same_v<A, PinnedLine>) {
+                    EXPECT_TRUE(a.member != b.member)
+                        << keys[i].name << " and " << keys[j].name;
+                }
+            }, keys[i].field, keys[j].field);
+        }
+    }
+    EXPECT_EQ(members, fieldCount<SimConfig>());
+}
+
+/**
+ * Each numeric key's range, read from the table: its min and max pass
+ * validate(), and one step outside either (where the type has one)
+ * exits 1 naming the key. Doubles also reject NaN.
+ */
+TEST(Config, EveryKeyRangeIsEnforced)
+{
+    for (const ConfigKey &k : configKeys()) {
+        std::visit([&](const auto &f) {
+            using F = std::decay_t<decltype(f)>;
+            if constexpr (!std::is_same_v<F, PinnedLine> &&
+                          !std::is_same_v<F, ConfigField<bool>> &&
+                          !std::is_same_v<F, ConfigField<HwPrefKind>>) {
+                using T = decltype(f.min);
+                auto validateWith = [&](T v) {
+                    SimConfig cfg;
+                    cfg.*f.member = v;
+                    cfg.validate();
+                };
+                auto accepts = [&](T v) {
+                    EXPECT_EXIT(
+                        {
+                            validateWith(v);
+                            std::exit(0);
+                        },
+                        ::testing::ExitedWithCode(0), "")
+                        << k.name << " = " << v;
+                };
+                auto rejects = [&](T v) {
+                    EXPECT_EXIT(validateWith(v),
+                                ::testing::ExitedWithCode(1),
+                                std::string(k.name) + " = .* is outside")
+                        << k.name << " = " << v;
+                };
+                accepts(f.min);
+                accepts(f.max);
+                if constexpr (std::is_floating_point_v<T>) {
+                    rejects(std::nextafter(f.min, -INFINITY));
+                    rejects(std::nextafter(f.max, INFINITY));
+                    rejects(NAN);
+                } else {
+                    if (f.min > 0)
+                        rejects(f.min - 1);
+                    if (f.max < std::numeric_limits<T>::max())
+                        rejects(f.max + 1);
+                }
+            }
+        }, k.field);
+    }
+}
+
+/**
+ * One-line probes that used to abort, trap, shift by 64 or spin to
+ * the cycle cap now exit 1 from validate() naming the key.
+ */
+TEST(Config, ProbesExitNamingTheKey)
+{
+    for (const char *kv :
+         {"numCores=4294967295", "memBufEntries=4294967295",
+          "numCores=100000", "ghbEntries=0", "ghbIndexEntries=0",
+          "stridePcEntries=0", "strideRptEntries=0", "streamEntries=0",
+          "pwsEntries=0", "gsEntries=0", "ipEntries=0", "ghbCzoneBits=64",
+          "strideRptRegionBits=64", "decodeCycles=4294967295",
+          "memLatencyExtra=4294967295", "earlyEvictHigh=nan",
+          "earlyEvictHigh=-1"}) {
+        std::string key(kv, std::strchr(kv, '='));
+        SimConfig cfg;
+        cfg.applyOverride(kv);
+        EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
+                    "fatal: " + key + " = .* is outside");
+    }
 }
 
 /** Values that would divide by zero or never finish are rejected. */

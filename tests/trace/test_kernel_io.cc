@@ -142,5 +142,46 @@ TEST(KernelIo, FlagsRoundTrip)
     expectSameKernel(k, roundTrip(k));
 }
 
+/** Malformed lines exit 1 naming file:line; none aborts or wraps. */
+TEST(KernelIo, MalformedLinesExitNamingFileAndLine)
+{
+    const std::string head = "kernel p\ngrid 1 1 1\nsegment 1\n";
+    for (const char *line :
+         {"comp", "load", "comp 65537", "comp 1 256 -1", "comp 1 2",
+          "imul 1", "load -1 0x1000 4 0 4", "load 0 0x1000 4 0",
+          "store 0 0x1000 4 0 -4", "pref 0x-1000 4 0 4"}) {
+        std::stringstream ss(head + line + "\nend\n");
+        EXPECT_EXIT(readKernel(ss, "k.mtk"), ::testing::ExitedWithCode(1),
+                    "k.mtk:4")
+            << line;
+    }
+    std::stringstream ss("kernel p\ngrid 1 1 1\nsegment 4294967296\n");
+    EXPECT_EXIT(readKernel(ss, "k.mtk"), ::testing::ExitedWithCode(1),
+                "k.mtk:3");
+}
+
+/**
+ * Grids that would allocate absurd warp slots, and programs without a
+ * segment, are user errors: one fatal line from finalize(), shared by
+ * kernel files and suite kernels.
+ */
+TEST(KernelIo, GridLimitsAndEmptyProgramsAreFatal)
+{
+    const std::string body = "segment 1\ncomp 1\nend\n";
+    for (const char *text :
+         {"kernel p\ngrid 4294967295 1 1\n", "kernel p\ngrid 33 1 1\n",
+          "kernel p\ngrid 1 1 33\n", "kernel p\ngrid 1 1 0\n"}) {
+        std::stringstream ss(text + body);
+        EXPECT_EXIT(readKernel(ss, "k.mtk"), ::testing::ExitedWithCode(1),
+                    "fatal: kernel 'p' (has|allows) ")
+            << text;
+    }
+    std::stringstream empty("kernel p\ngrid 1 1 1\n");
+    EXPECT_EXIT(readKernel(empty, "k.mtk"), ::testing::ExitedWithCode(1),
+                "fatal: kernel 'p' has no segments");
+    std::stringstream widest("kernel p\ngrid 32 1 32\n" + body);
+    EXPECT_EQ(readKernel(widest, "k.mtk").warpsPerBlock, 32u);
+}
+
 } // namespace
 } // namespace mtp

@@ -228,7 +228,7 @@ main(int argc, char **argv)
          }},
         {"--watchdog-sec", true,
          [&](const std::string &v) {
-             watchdogSec = parseDouble("--watchdog-sec", v);
+             watchdogSec = parseNumber<double>("--watchdog-sec", v);
          }},
     };
     Options opts = parseArgs(

@@ -724,9 +724,11 @@ main(int argc, char **argv)
             if (arg == "--gate") {
                 gate = true;
             } else if (arg == "--tol-rel") {
-                tol.relPct = parseDouble("--tol-rel", next("--tol-rel"));
+                tol.relPct =
+                    parseNumber<double>("--tol-rel", next("--tol-rel"));
             } else if (arg == "--tol-abs") {
-                tol.abs = parseDouble("--tol-abs", next("--tol-abs"));
+                tol.abs =
+                    parseNumber<double>("--tol-abs", next("--tol-abs"));
             } else if (arg == "--tol") {
                 std::string rule = next("--tol");
                 auto eq = rule.find_last_of('=');
@@ -735,7 +737,7 @@ main(int argc, char **argv)
                               rule, "'");
                 tol.rules.push_back(
                     {rule.substr(0, eq),
-                     parseDouble("--tol", rule.substr(eq + 1))});
+                     parseNumber<double>("--tol", rule.substr(eq + 1))});
             } else if (arg == "--help" || arg == "-h") {
                 usage(argv[0]);
                 return 0;
@@ -768,7 +770,7 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--gate") {
-            gate = parseDouble("--gate", next("--gate"));
+            gate = parseNumber<double>("--gate", next("--gate"));
         } else if (arg == "--jsonl") {
             jsonl = next("--jsonl");
         } else if (arg == "--help" || arg == "-h") {

@@ -123,11 +123,11 @@ main(int argc, char **argv)
         } else if (arg == "--throttle") {
             throttle = true;
         } else if (arg == "--scale") {
-            scale = parseUnsigned("--scale", next("--scale"));
+            scale = parseNumber<unsigned>("--scale", next("--scale"));
             if (scale == 0)
                 MTP_FATAL("--scale must be >= 1");
         } else if (arg == "--jobs") {
-            jobs = parseUnsigned("--jobs", next("--jobs"));
+            jobs = parseNumber<unsigned>("--jobs", next("--jobs"));
             if (jobs == 0)
                 MTP_FATAL("--jobs must be >= 1");
         } else if (arg == "--stats") {
@@ -137,8 +137,8 @@ main(int argc, char **argv)
         } else if (arg == "--json") {
             json = true;
         } else if (arg == "--sample-period") {
-            ocfg.samplePeriod =
-                parseU64("--sample-period", next("--sample-period"));
+            ocfg.samplePeriod = parseNumber<std::uint64_t>(
+                "--sample-period", next("--sample-period"));
         } else if (arg == "--timeseries") {
             ocfg.timeSeriesCsv = next("--timeseries");
         } else if (arg == "--events") {
@@ -153,8 +153,8 @@ main(int argc, char **argv)
                 std::string(argv[i + 1]).find('=') == std::string::npos)
                 hostProfileOut = argv[++i];
         } else if (arg == "--watchdog-sec") {
-            watchdogSec =
-                parseDouble("--watchdog-sec", next("--watchdog-sec"));
+            watchdogSec = parseNumber<double>("--watchdog-sec",
+                                              next("--watchdog-sec"));
             if (watchdogSec <= 0.0)
                 MTP_FATAL("--watchdog-sec must be > 0");
         } else if (arg == "--dump-kernel") {
