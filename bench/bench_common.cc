@@ -55,16 +55,11 @@ parseArgs(int argc, char **argv, const std::vector<FlagSpec> &extra,
         } else if (arg == "--sample-period" && i + 1 < argc) {
             opts.samplePeriod =
                 parseNumber<std::uint64_t>("--sample-period", argv[++i]);
-        } else if (arg == "--trace-out" && i + 1 < argc) {
-            opts.traceOut = argv[++i];
-        } else if (arg == "--json" && i + 1 < argc) {
-            opts.jsonOut = argv[++i];
         } else if (arg == "--quiet" || arg == "-q") {
             opts.quiet = true;
         } else if (arg == "--help" || arg == "-h") {
             std::printf("usage: %s [--scale N] [--bench a,b,...] "
                         "[--jobs N] [--sample-period N] "
-                        "[--trace-out file.json] [--json file.json] "
                         "[--quiet]%s%s [key=value ...]\n",
                         argv[0], extraUsage.empty() ? "" : " ",
                         extraUsage.c_str());
@@ -78,16 +73,6 @@ parseArgs(int argc, char **argv, const std::vector<FlagSpec> &extra,
         }
     }
     return opts;
-}
-
-obs::ObsConfig
-obsConfig(const Options &opts, const std::string &runTag)
-{
-    obs::ObsConfig ocfg;
-    ocfg.samplePeriod = opts.samplePeriod;
-    if (!opts.traceOut.empty())
-        ocfg.chromePath = obs::perRunPath(opts.traceOut, runTag);
-    return ocfg;
 }
 
 SimConfig
@@ -147,18 +132,6 @@ geomean(const std::vector<double> &values)
     for (double v : values)
         log_sum += std::log(v);
     return std::exp(log_sum / static_cast<double>(values.size()));
-}
-
-void
-banner(const std::string &title, const std::string &reference,
-       const Options &opts)
-{
-    std::printf("# %s\n", title.c_str());
-    std::printf("# reproduces: %s\n", reference.c_str());
-    std::printf("# grid scale: 1/%u of the paper's geometry; "
-                "throttle period %llu cycles\n",
-                opts.scaleDiv,
-                static_cast<unsigned long long>(opts.throttlePeriod));
 }
 
 } // namespace bench

@@ -2,12 +2,13 @@
  * @file
  * Shared infrastructure for the figure/table reproduction harnesses.
  *
- * Every `bench_*` binary regenerates one table or figure of the paper's
- * evaluation. By default the launch grids run at 1/8 of the paper's
- * geometry (occupancy and per-warp behaviour unchanged; see DESIGN.md)
- * and the throttle period is scaled with them. Pass `--scale N` to
- * change the divisor (1 = the paper's full grids) and `key=value`
- * pairs to override any SimConfig field.
+ * Every registered CampaignSpec regenerates one table or figure of the
+ * paper's evaluation (`mtp-campaign --only <spec>` runs one). By
+ * default the launch grids run at 1/8 of the paper's geometry
+ * (occupancy and per-warp behaviour unchanged; see DESIGN.md) and the
+ * throttle period is scaled with them. Pass `--scale N` to change the
+ * divisor (1 = the paper's full grids) and `key=value` pairs to
+ * override any SimConfig field.
  */
 
 #ifndef MTP_BENCH_BENCH_COMMON_HH
@@ -32,18 +33,16 @@ struct Options
     Cycle throttlePeriod = 5000; //!< scaled from the paper's 100K
     unsigned jobs = 0;          //!< worker threads (0 = all cores)
     Cycle samplePeriod = 0;     //!< --sample-period (0 = no sampling)
-    std::string traceOut;       //!< --trace-out Chrome trace base path
-    std::string jsonOut;        //!< --json machine-readable output path
     bool quiet = false;         //!< --quiet: suppress human tables
     std::vector<std::string> overrides; //!< SimConfig key=value pairs
     std::vector<std::string> benchmarks; //!< subset filter (--bench a,b)
 };
 
 /**
- * A harness-specific flag layered on top of the common CLI. Extra
- * flags are matched *before* the common set, so a harness can shadow
- * a common flag when its axis needs a different shape (bench_simrate
- * takes --out as an alias of --json, for example).
+ * A harness-specific flag layered on top of the common CLI (--out,
+ * for example). Extra flags are matched *before* the common set, so a
+ * harness can shadow a common flag when its axis needs a different
+ * shape.
  */
 struct FlagSpec
 {
@@ -53,24 +52,12 @@ struct FlagSpec
 };
 
 /** Parse argv; recognises --scale, --bench, --jobs, --sample-period,
- *  --trace-out, --json, --quiet, key=value overrides and any @p extra
- *  harness flags. Unknown flags are fatal with a consistent message
- *  across every harness. @p extraUsage is appended to the --help
- *  line. */
+ *  --quiet, key=value overrides and any @p extra harness flags.
+ *  Unknown flags are fatal with a consistent message across every
+ *  harness. @p extraUsage is appended to the --help line. */
 Options parseArgs(int argc, char **argv,
                   const std::vector<FlagSpec> &extra = {},
                   const std::string &extraUsage = "");
-
-/**
- * Observation settings for one run of a harness, derived from
- * --sample-period / --trace-out. @p runTag (e.g. "mthwp.stream") is
- * inserted into the output path so the many runs of one harness don't
- * clobber each other; with --trace-out the Chrome trace doubles as the
- * time-series sink. Returns a disabled config when neither flag was
- * given. Observation never enters the run fingerprint; the first
- * submission of a (config, kernel) key decides its ObsConfig.
- */
-obs::ObsConfig obsConfig(const Options &opts, const std::string &runTag);
 
 /** Table II baseline with the scaled throttle period + overrides. */
 SimConfig baseConfig(const Options &opts);
@@ -84,10 +71,6 @@ const std::vector<std::string> &sweepSubset();
 
 /** Geometric mean of @p values (1.0 when empty). */
 double geomean(const std::vector<double> &values);
-
-/** Print the harness banner: title + paper reference + setup. */
-void banner(const std::string &title, const std::string &reference,
-            const Options &opts);
 
 /**
  * Memoized, parallel simulation front end of every harness.
@@ -114,11 +97,10 @@ class Runner
 
     /** Schedule a simulation without waiting for it. */
     void
-    submit(const SimConfig &cfg, const KernelDesc &kernel,
-           const obs::ObsConfig &ocfg = {})
+    submit(const SimConfig &cfg, const KernelDesc &kernel)
     {
         recordFingerprint(cfg, kernel);
-        cache_.submit(cfg, kernel, effectiveObs(ocfg));
+        cache_.submit(cfg, kernel, obsDefaults_);
     }
 
     /** Schedule a workload's no-prefetching baseline run. */
@@ -133,7 +115,7 @@ class Runner
     run(const SimConfig &cfg, const KernelDesc &kernel)
     {
         recordFingerprint(cfg, kernel);
-        return cache_.result(cfg, kernel, effectiveObs({}));
+        return cache_.result(cfg, kernel, obsDefaults_);
     }
 
     /** Baseline (no prefetching) run of a workload's kernel. */
@@ -143,16 +125,13 @@ class Runner
         return run(baseConfig(opts_), w.kernel);
     }
 
-    const Options &options() const { return opts_; }
-
     /** Worker threads actually in use. */
     unsigned jobs() const { return exec_.threads(); }
 
     /**
-     * Observation applied to submissions whose own ObsConfig is
-     * disabled (the campaign runner's live-progress forwarding). A
-     * caller-provided enabled config still wins; like every ObsConfig
-     * the defaults never enter the fingerprint or change results.
+     * Observation applied to every submission (the campaign runner's
+     * live-progress forwarding). Like every ObsConfig it never enters
+     * the fingerprint or changes results.
      */
     void setObsDefaults(const obs::ObsConfig &ocfg) { obsDefaults_ = ocfg; }
 
@@ -180,12 +159,6 @@ class Runner
   private:
     void recordFingerprint(const SimConfig &cfg,
                            const KernelDesc &kernel);
-
-    obs::ObsConfig
-    effectiveObs(const obs::ObsConfig &ocfg) const
-    {
-        return ocfg.enabled() || ocfg.forwardSink ? ocfg : obsDefaults_;
-    }
 
     Options opts_;
     driver::ParallelExecutor exec_;

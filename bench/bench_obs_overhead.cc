@@ -15,8 +15,8 @@
  * Usage: bench_obs_overhead [--smoke] [--reps N] [--out FILE]
  *          [common harness flags] [key=value ...]
  *
- * The CLI is the shared harness parser (bench_common.hh); --json is
- * an alias for --out and key=value overrides apply to every timed run.
+ * The CLI is the shared harness parser (bench_common.hh); key=value
+ * overrides apply to every timed run.
  */
 
 #include <algorithm>
@@ -83,8 +83,6 @@ main(int argc, char **argv)
         opts.throttlePeriod = std::max<Cycle>(1000, 40000 / 64);
         reps = 3;
     }
-    if (!opts.jsonOut.empty())
-        out = opts.jsonOut; // --json is an alias for --out
     if (!opts.benchmarks.empty())
         MTP_FATAL("--bench is not accepted: this harness times stream");
 

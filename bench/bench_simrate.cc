@@ -22,23 +22,20 @@
  * event-queue scheduler: every per-workload speedup >= 1.0x and the
  * geomean >= 3.0x. Workloads falling short are re-measured best-of-N so a CI
  * scheduling hiccup in one timing cannot fail the gate; a genuine
- * regression still does. The attempt count is tunable via the
- * MTP_BENCH_RETRIES environment variable and every re-measurement
- * draws from one monotonic-clock budget, so retries can never walk
- * the job past its CTest timeout.
+ * regression still does. A workload gets at most four measurements
+ * and every re-measurement draws from one monotonic-clock budget, so
+ * retries can never walk the job past its CTest timeout.
  *
  * Usage: bench_simrate [--scale N] [--bench a,b] [--out FILE]
  *                      [--smoke] [--gate]
  *
  * The CLI is the shared harness parser (bench_common.hh) with three
- * extra flags; --json is an alias for --out so the campaign driver
- * can address every harness uniformly.
+ * extra flags.
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -222,24 +219,6 @@ kcyclesPerSec(Cycle cycles, double secs)
     return secs > 0.0 ? static_cast<double>(cycles) / secs / 1000.0 : 0.0;
 }
 
-/**
- * Best-of-N attempt count for --gate re-measurements: 4 unless the
- * MTP_BENCH_RETRIES environment variable overrides it.
- */
-unsigned
-gateAttemptBudget()
-{
-    const char *env = std::getenv("MTP_BENCH_RETRIES");
-    if (!env || !*env)
-        return 4;
-    char *end = nullptr;
-    unsigned long v = std::strtoul(env, &end, 10);
-    if (end == env || *end != '\0' || v == 0)
-        MTP_FATAL("MTP_BENCH_RETRIES must be a positive integer, got '",
-                  env, "'");
-    return static_cast<unsigned>(v);
-}
-
 void
 writeJson(const std::string &path, const bench::Options &opts,
           const std::vector<Measurement> &rows, double geomeanSpeedup)
@@ -285,8 +264,6 @@ main(int argc, char **argv)
         argc, argv, extra, "[--out FILE] [--smoke] [--gate]");
     if (smoke)
         opts.scaleDiv = 64;
-    if (!opts.jsonOut.empty())
-        out = opts.jsonOut; // --json is an alias for --out
     unsigned scaleDiv = opts.scaleDiv;
     const std::vector<std::string> &filter = opts.benchmarks;
     const bool quiet = opts.quiet;
@@ -342,7 +319,7 @@ main(int argc, char **argv)
     // The gate's performance contract (see the file comment).
     const double gateMinSpeedup = 1.0;
     const double gateMinGeomean = 3.0;
-    const unsigned gateAttempts = gateAttemptBudget();
+    const unsigned gateAttempts = 4; // best-of-N re-measurements
     // All gate re-measurements draw on one monotonic-clock budget:
     // once it runs out the best timing so far stands, so retries can
     // never push the job past its CTest timeout.

@@ -594,44 +594,5 @@ writeManifest(std::ostream &os, const CampaignResult &res,
     os << out;
 }
 
-// --- standalone per-figure binaries -------------------------------------
-
-int
-standaloneMain(const char *specName, int argc, char **argv)
-{
-    const CampaignSpec *spec = findSpec(specName);
-    if (!spec)
-        MTP_FATAL("unknown campaign spec '", specName, "'");
-    Options opts = parseArgs(argc, argv);
-    if (!opts.quiet)
-        banner(spec->title, spec->anchor, opts);
-
-    Runner runner(opts);
-    FigureResult result = spec->run(runner, opts);
-    if (!opts.quiet)
-        renderFigure(stdout, *spec, result);
-
-    if (!opts.jsonOut.empty()) {
-        std::string out;
-        out += "{\n";
-        appendIndent(out, 1);
-        out += "\"schema\": \"mtp-figure-v1\",\n";
-        appendProvenance(out, collectProvenance(opts), 1);
-        out += ",\n";
-        appendIndent(out, 1);
-        out += "\"figure\":\n";
-        appendFigureJson(out, *spec, result, runner.fingerprints(), 1);
-        out += "\n}\n";
-        std::FILE *f = std::fopen(opts.jsonOut.c_str(), "w");
-        if (!f)
-            MTP_FATAL("cannot open --json path '", opts.jsonOut, "'");
-        std::fwrite(out.data(), 1, out.size(), f);
-        std::fclose(f);
-        if (!opts.quiet)
-            std::printf("\nwrote %s\n", opts.jsonOut.c_str());
-    }
-    return 0;
-}
-
 } // namespace bench
 } // namespace mtp

@@ -261,14 +261,6 @@ void writeManifest(std::ostream &os, const CampaignResult &res,
 void writeJsonValue(std::string &out, const obs::JsonValue &v,
                     int indent);
 
-/**
- * Shared main() of the standalone per-figure binaries: parse the
- * common CLI, run the one spec named @p specName through a fresh
- * Runner, render to stdout (unless --quiet) and write a single-figure
- * manifest to --json when given.
- */
-int standaloneMain(const char *specName, int argc, char **argv);
-
 } // namespace bench
 } // namespace mtp
 

@@ -5,7 +5,9 @@
  * prefetching is healthy (monte), with and without the engine, and
  * show the final metrics and throttle degrees per core.
  *
- * Set MTP_THROTTLE_TRACE=1 to stream the per-period decisions.
+ * To record the per-period decisions, run the same benchmark through
+ * `mtp-sim --bench stream --hw mthwp --throttle --events f.jsonl`:
+ * each `throttle:update` record is one core's decision.
  */
 
 #include <cstdio>

@@ -1,8 +1,6 @@
 #include "obs/observer.hh"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/log.hh"
 #include "obs/host_profiler.hh"
@@ -31,12 +29,6 @@ Observer::Observer(const ObsConfig &cfg) : cfg_(cfg)
     if (!cfg_.chromePath.empty()) {
         addSink(std::make_unique<ChromeTraceSink>(cfg_.chromePath),
                 /*forSampler=*/true, /*forTracer=*/true);
-    }
-    if (cfg_.throttleToStderr) {
-        // The legacy MTP_THROTTLE_TRACE stream: throttle events only,
-        // so it joins the tracer but not the sampler.
-        addSink(std::make_unique<JsonlSink>(stderr),
-                /*forSampler=*/false, /*forTracer=*/true);
     }
     if (cfg_.forwardSink) {
         // Borrowed: joins the sampler only, stays out of all_ so
@@ -186,13 +178,6 @@ uniqueRunTags(const std::vector<std::string> &names,
         tags.push_back(names[i] + "-" + hex);
     }
     return tags;
-}
-
-bool
-throttleTraceEnvEnabled()
-{
-    const char *env = std::getenv("MTP_THROTTLE_TRACE");
-    return env && *env && std::strcmp(env, "0") != 0;
 }
 
 } // namespace obs

@@ -136,12 +136,7 @@ CsvTimeSeriesSink::close()
 
 // --- JsonlSink -----------------------------------------------------------
 
-JsonlSink::JsonlSink(const std::string &path)
-    : file_(openOrDie(path)), owned_(true)
-{
-}
-
-JsonlSink::JsonlSink(std::FILE *borrowed) : file_(borrowed), owned_(false)
+JsonlSink::JsonlSink(const std::string &path) : file_(openOrDie(path))
 {
 }
 
@@ -153,8 +148,6 @@ JsonlSink::~JsonlSink()
 void
 JsonlSink::writeLine(const std::string &line)
 {
-    // One fwrite per record: POSIX stream writes are locked, so whole
-    // lines never interleave even when runs share the stream.
     std::fwrite(line.data(), 1, line.size(), file_);
 }
 
@@ -233,13 +226,10 @@ JsonlSink::histogram(const std::string &name, const Histogram &h)
 void
 JsonlSink::close()
 {
-    if (!file_)
-        return;
-    if (owned_)
+    if (file_) {
         std::fclose(file_);
-    else
-        std::fflush(file_);
-    file_ = nullptr;
+        file_ = nullptr;
+    }
 }
 
 // --- ChromeTraceSink -----------------------------------------------------

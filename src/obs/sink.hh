@@ -127,20 +127,12 @@ class CsvTimeSeriesSink : public EventSink
     std::FILE *file_ = nullptr;
 };
 
-/**
- * Every record as one JSON object per line. Each line is written with
- * a single fwrite(), so concurrent runs sharing the stream (e.g. the
- * stderr throttle-trace alias under the parallel driver) never
- * interleave partial lines.
- */
+/** Every record as one JSON object per line. */
 class JsonlSink : public EventSink
 {
   public:
     /** Open @p path for writing. */
     explicit JsonlSink(const std::string &path);
-
-    /** Write to a borrowed stream (not closed), e.g. stderr. */
-    explicit JsonlSink(std::FILE *borrowed);
 
     ~JsonlSink() override;
 
@@ -154,7 +146,6 @@ class JsonlSink : public EventSink
     void writeLine(const std::string &line);
 
     std::FILE *file_ = nullptr;
-    bool owned_ = false;
     std::vector<std::string> columns_;
 };
 

@@ -60,14 +60,6 @@ Gpu::Gpu(const SimConfig &cfg, const KernelDesc &kernel,
         endBlockOfCore_[0] = blocks;
     }
 
-    if (!obs && cfg_.throttleEnable && obs::throttleTraceEnvEnabled()) {
-        // Legacy MTP_THROTTLE_TRACE alias: throttle period updates to
-        // stderr, now as JSONL through the sink API.
-        obs::ObsConfig alias;
-        alias.throttleToStderr = true;
-        ownedObs_ = std::make_unique<obs::Observer>(alias);
-        obs = ownedObs_.get();
-    }
     if (obs && obs->config().enabled())
         attachObserver(obs);
 }
@@ -483,7 +475,6 @@ Gpu::runQueued()
             obs::HostScope hostSkip(obs::HostPhase::HorizonSkip, hp);
             // Jump straight to the earliest armed event. Capping at
             // maxCycles keeps the deadlock diagnostic identical.
-            ++sched_.skipAttempts;
             Cycle next = queue_.earliest();
             Cycle target = std::min(next, cfg_.maxCycles);
             if (target > now_) {
@@ -576,9 +567,6 @@ Gpu::summarize() const
     r.sched.add("sim.sched.cyclesSkipped",
                 static_cast<double>(sched_.cyclesSkipped),
                 "cycles fast-forwarded without stepping");
-    r.sched.add("sim.sched.skipAttempts",
-                static_cast<double>(sched_.skipAttempts),
-                "fast-forward bound computations");
     r.sched.add("sim.sched.skipSuccesses",
                 static_cast<double>(sched_.skipSuccesses),
                 "fast-forward jumps that moved the clock");

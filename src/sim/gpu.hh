@@ -94,9 +94,7 @@ class Gpu
      * @param obs optional observer (borrowed; must outlive the Gpu).
      *        Observation is read-only: results are bit-identical with
      *        or without it, so ObsConfig never enters SimConfig or the
-     *        run-cache fingerprint. When null and the legacy
-     *        MTP_THROTTLE_TRACE alias is set (with throttling enabled),
-     *        an internal stderr-bound observer is created.
+     *        run-cache fingerprint.
      */
     Gpu(const SimConfig &cfg, const KernelDesc &kernel,
         obs::Observer *obs = nullptr);
@@ -202,14 +200,12 @@ class Gpu
     {
         std::uint64_t cyclesStepped = 0;
         std::uint64_t cyclesSkipped = 0;
-        std::uint64_t skipAttempts = 0;
         std::uint64_t skipSuccesses = 0;
         std::uint64_t coreTicks = 0;
     };
     SchedCounters sched_;
 
     obs::Observer *obs_ = nullptr;
-    std::unique_ptr<obs::Observer> ownedObs_; //!< env-alias fallback
 
     /**
      * Flight-recorder namespace for this run's liveness gauges

@@ -31,10 +31,12 @@ TEST(BenchCommon, ParseArgs)
     // The throttle period scales with the grid divisor.
     EXPECT_EQ(cfg.throttlePeriod, 10000u);
 
-    // Malformed or out-of-range numbers exit naming the flag.
+    // Malformed or out-of-range numbers exit naming the flag, and so
+    // do unknown flags (--out is the one output flag).
     for (auto [flag, value] :
          {std::pair{"--scale", "abc"}, std::pair{"--scale", "0"},
-          std::pair{"--jobs", "x"}, std::pair{"--sample-period", "1e3"}}) {
+          std::pair{"--jobs", "x"}, std::pair{"--sample-period", "1e3"},
+          std::pair{"--json", "x"}, std::pair{"--trace-out", "x"}}) {
         const char *bad[] = {"prog", flag, value};
         EXPECT_EXIT(parseArgs(3, const_cast<char **>(bad)),
                     ::testing::ExitedWithCode(1), flag);

@@ -58,6 +58,30 @@ expectBitIdentical(const RunResult &fast, const RunResult &naive,
     // counter of every core, channel and prefetch structure — must
     // match byte for byte.
     EXPECT_EQ(dumpStats(fast), dumpStats(naive)) << label;
+
+    // The scheduler counters (RunResult::sched) differ between the
+    // loops by design but obey each loop's identities: every cycle is
+    // stepped or skipped, the naive loop steps every cycle and ticks
+    // every core, and the queued loop's elided core ticks fill the
+    // rest of its stepped cycles' core slots.
+    auto sched = [](const RunResult &r, const char *name) {
+        return r.sched.get(std::string("sim.sched.") + name);
+    };
+    const double cores = naive.stats.get("sim.numCores");
+    for (const RunResult *r : {&fast, &naive})
+        EXPECT_EQ(sched(*r, "cyclesStepped") + sched(*r, "cyclesSkipped"),
+                  static_cast<double>(r->cycles))
+            << label;
+    EXPECT_EQ(sched(naive, "cyclesSkipped"), 0.0) << label;
+    EXPECT_EQ(sched(naive, "skipSuccesses"), 0.0) << label;
+    EXPECT_EQ(sched(naive, "coreTicks"),
+              static_cast<double>(naive.cycles) * cores)
+        << label;
+    EXPECT_EQ(sched(fast, "coreTicks") + sched(fast, "coreTicksElided"),
+              sched(fast, "cyclesStepped") * cores)
+        << label;
+    EXPECT_LE(sched(fast, "skipSuccesses"), sched(fast, "cyclesStepped"))
+        << label;
 }
 
 std::vector<std::pair<std::string, KernelDesc>>

@@ -50,3 +50,8 @@ run_step(0 ${MTP_REPORT} campaign diff ${GOLDEN} ${PARTIAL})
 
 # 5. ... and with --gate an incomplete campaign must trip it.
 run_step(1 ${MTP_REPORT} campaign diff ${GOLDEN} ${PARTIAL} --gate)
+
+# 6. A partial campaign without --out is refused before it simulates,
+#    so it can never overwrite the default BENCH_campaign.json.
+run_step(1 ${MTP_CAMPAIGN} --smoke --quiet --skip-volatile
+    --only tab03_characteristics)

@@ -39,12 +39,22 @@ run_step(0 ${MTP_REPORT} show ${GOLDEN} ${MTHWP}
     --jsonl ${WORK_DIR}/report_gate_fresh.jsonl)
 run_step(0 ${MTP_REPORT} compare ${GOLDEN} ${MTHWP})
 
-# 3. The fresh run must match the checked-in snapshot within the gate.
+# 3. The golden snapshots carry no sim.sched.* counters, so only a
+#    fresh run renders show's scheduler table.
+execute_process(COMMAND ${MTP_REPORT} show ${WORK_DIR}/report_gate_fresh.json
+    RESULT_VARIABLE status OUTPUT_VARIABLE shown)
+if(NOT status EQUAL 0 OR NOT shown MATCHES "skip success")
+    message(FATAL_ERROR
+        "'mtp-report show' of a fresh run exited ${status} or printed "
+        "no scheduler table:\n${shown}")
+endif()
+
+# 4. The fresh run must match the checked-in snapshot within the gate.
 run_step(0 ${MTP_REPORT} diff ${GOLDEN}
     ${WORK_DIR}/report_gate_fresh.json --gate 5)
 
-# 4. A known regression (3x memory latency) must trip the gate ...
+# 5. A known regression (3x memory latency) must trip the gate ...
 run_step(1 ${MTP_REPORT} diff ${GOLDEN} ${REGRESSED} --gate 5)
 
-# 5. ... and pass when the gate is wide enough to absorb it.
+# 6. ... and pass when the gate is wide enough to absorb it.
 run_step(0 ${MTP_REPORT} diff ${GOLDEN} ${REGRESSED} --gate 50)

@@ -23,6 +23,9 @@
  * BENCH_*.json next to --out, and are embedded in the manifest marked
  * "volatile": true — present for the record, ignored by the diff gate.
  *
+ * `--only a,b` runs just the named figures (`--list` prints the
+ * names) and requires `--out`.
+ *
  * Usage:
  *   mtp-campaign [--out FILE] [--only a,b] [--list] [--smoke]
  *                [--skip-volatile] [--bench-dir DIR] [--no-session]
@@ -191,7 +194,7 @@ runVolatile(const std::string &benchDir, const std::string &binary,
 int
 main(int argc, char **argv)
 {
-    std::string out = "BENCH_campaign.json";
+    std::string out;
     std::string benchDir;
     std::vector<std::string> only;
     bool list = false;
@@ -249,6 +252,13 @@ main(int argc, char **argv)
                     "observability overhead, run as a subprocess");
         return 0;
     }
+    // A partial manifest must never land on the default path: run from
+    // the repository root, that is the committed full record.
+    if (!only.empty() && out.empty())
+        MTP_FATAL("--only needs --out: a partial campaign must not "
+                  "overwrite BENCH_campaign.json");
+    if (out.empty())
+        out = "BENCH_campaign.json";
 
     if (smoke) {
         // The reduced campaign behind the CI gate and the unit tests:

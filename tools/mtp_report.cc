@@ -216,7 +216,7 @@ printScheduler(const std::vector<Run> &runs)
     });
     row("skip success", [&](const Run &r) {
         return pct(r.getOr("sim.sched.skipSuccesses", 0.0),
-                   r.getOr("sim.sched.skipAttempts", 0.0));
+                   r.getOr("sim.sched.cyclesStepped", 0.0));
     });
     row("core ticks elided", [&](const Run &r) {
         double ticks = r.getOr("sim.sched.coreTicks", 0.0);
