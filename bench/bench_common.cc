@@ -1,78 +1,120 @@
 #include "bench/bench_common.hh"
 
-#include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <sstream>
 
 #include "driver/fingerprint.hh"
+#include "obs/host_profiler.hh"
 
 namespace mtp {
 namespace bench {
 
 Options
-parseArgs(int argc, char **argv, const std::vector<FlagSpec> &extra,
-          const std::string &extraUsage)
+parseArgs(int argc, char **argv, const std::vector<cli::Flag> &extra,
+          HostObs *host)
 {
     Options opts;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        // Harness-specific flags match first so a harness can shadow
-        // a common flag with its own shape.
-        const FlagSpec *matched = nullptr;
-        for (const auto &spec : extra) {
-            if (arg == spec.name) {
-                matched = &spec;
-                break;
-            }
-        }
-        if (matched) {
-            std::string value;
-            if (matched->takesValue) {
-                if (i + 1 >= argc)
-                    MTP_FATAL("flag '", arg, "' expects a value");
-                value = argv[++i];
-            }
-            matched->handler(value);
-            continue;
-        }
-        if (arg == "--scale" && i + 1 < argc) {
-            opts.scaleDiv = parseNumber<unsigned>("--scale", argv[++i]);
-            if (opts.scaleDiv == 0)
-                MTP_FATAL("--scale must be >= 1");
-            // Keep the throttle period proportional to run length.
-            opts.throttlePeriod =
-                std::max<Cycle>(1000, 40000 / opts.scaleDiv);
-        } else if (arg == "--bench" && i + 1 < argc) {
-            std::stringstream ss(argv[++i]);
-            std::string name;
-            while (std::getline(ss, name, ','))
-                opts.benchmarks.push_back(name);
-        } else if (arg == "--jobs" && i + 1 < argc) {
-            opts.jobs = parseNumber<unsigned>("--jobs", argv[++i]);
-            if (opts.jobs == 0)
-                MTP_FATAL("--jobs must be >= 1");
-        } else if (arg == "--sample-period" && i + 1 < argc) {
-            opts.samplePeriod =
-                parseNumber<std::uint64_t>("--sample-period", argv[++i]);
-        } else if (arg == "--quiet" || arg == "-q") {
-            opts.quiet = true;
-        } else if (arg == "--help" || arg == "-h") {
-            std::printf("usage: %s [--scale N] [--bench a,b,...] "
-                        "[--jobs N] [--sample-period N] "
-                        "[--quiet]%s%s [key=value ...]\n",
-                        argv[0], extraUsage.empty() ? "" : " ",
-                        extraUsage.c_str());
-            std::exit(0);
-        } else if (arg.find('=') != std::string::npos &&
-                   arg.rfind("--", 0) != 0) {
-            opts.overrides.push_back(arg);
-        } else {
-            MTP_FATAL("unknown argument '", arg,
-                      "' (see --help for the accepted flags)");
-        }
-    }
+    cli::Command cmd;
+    cmd.operands = "[key=value ...]";
+    cmd.flags = extra;
+    if (host)
+        for (cli::Flag &f : host->flags())
+            cmd.flags.push_back(std::move(f));
+    cmd.flags.insert(cmd.flags.end(), {
+        {"--scale", "N", "grid divisor (default 8); scales the throttle period",
+         [&](const cli::Arg &a) { opts.setScale(a.number(1u)); }},
+        {"--bench", "LIST", "benchmarks to run (comma list)",
+         [&](const cli::Arg &a) {
+             for (std::string &name : a.list())
+                 opts.benchmarks.push_back(std::move(name));
+         }},
+        {"--jobs", "N", "parallel simulations (default: all cores)",
+         [&](const cli::Arg &a) { opts.jobs = a.number(1u); }},
+        {"--sample-period", "N", "sample time-series probes every N cycles",
+         [&](const cli::Arg &a) { opts.samplePeriod = a.number<Cycle>(); }},
+        {"--quiet", "", "print no report to stdout",
+         [&](const cli::Arg &) { opts.quiet = true; }},
+    });
+    cmd.operand = [&](const cli::Arg &a) {
+        if (a.value.find('=') == std::string::npos)
+            a.fail("unexpected argument '" + a.value + "' (not key=value)");
+        opts.overrides.push_back(a.value);
+    };
+    cli::parse(argc, argv, {cmd});
     return opts;
+}
+
+std::vector<cli::Flag>
+HostObs::flags()
+{
+    return {
+        {"--host-profile", "FILE", "per-thread, per-phase host profile (JSONL)",
+         [this](const cli::Arg &a) { profilePath_ = a.value; }},
+        {"--watchdog-sec", "N", "dump diagnostics after N s without progress",
+         [this](const cli::Arg &a) {
+             watchdogSec_ = a.number<double>();
+             if (!(watchdogSec_ > 0.0))
+                 a.fail("--watchdog-sec must be > 0");
+         }},
+    };
+}
+
+void
+HostObs::start()
+{
+    if (!profilePath_.empty()) {
+        obs::HostProfiler::enable();
+        obs::HostProfiler::nameThread("main");
+    }
+    if (watchdogSec_ > 0.0) {
+        obs::FlightRecorder::installCrashHandler();
+        watchdog_ = std::make_unique<obs::Watchdog>(watchdogSec_,
+                                                    profilePath_);
+    }
+}
+
+const std::string &
+HostObs::finish(const StatSet &counters)
+{
+    if (profilePath_.empty())
+        return profilePath_;
+    obs::HostProfiler::Snapshot snap = obs::HostProfiler::snapshot();
+    double wallSec =
+        static_cast<double>(snap.takenAtNs - snap.enabledAtNs) / 1e9;
+    std::vector<std::pair<std::string, double>> rows;
+    for (const StatSet::Entry &e : counters.entries())
+        rows.emplace_back(e.name, e.value);
+    double runs = counters.get("host.exec.executed");
+    rows.emplace_back("host.wallSeconds", wallSec);
+    rows.emplace_back("host.runsPerSec", wallSec > 0.0 ? runs / wallSec : 0.0);
+    std::FILE *f = std::fopen(profilePath_.c_str(), "w");
+    if (!f)
+        MTP_FATAL("cannot write '", profilePath_, "'");
+    obs::writeHostProfileJsonl(f, snap, rows);
+    std::fclose(f);
+    return profilePath_;
+}
+
+StatSet
+hostCounters(const driver::RunCache &cache,
+             const driver::ParallelExecutor &exec)
+{
+    StatSet s;
+    s.add("host.cache.hits", static_cast<double>(cache.hits()),
+          "run-cache submissions served from an entry");
+    s.add("host.cache.misses", static_cast<double>(cache.misses()),
+          "distinct runs scheduled");
+    s.add("host.cache.evictions", static_cast<double>(cache.evictions()),
+          "entries discarded (0 by contract)");
+    s.add("host.cache.entries", static_cast<double>(cache.size()),
+          "distinct entries resident");
+    s.add("host.exec.threads", static_cast<double>(exec.threads()),
+          "executor worker threads");
+    s.add("host.exec.executed", static_cast<double>(exec.executed()),
+          "tasks finished so far");
+    s.add("host.exec.steals", static_cast<double>(exec.steals()),
+          "tasks stolen across worker deques");
+    return s;
 }
 
 SimConfig

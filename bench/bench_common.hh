@@ -8,56 +8,89 @@
  * (occupancy and per-warp behaviour unchanged; see DESIGN.md) and the
  * throttle period is scaled with them. Pass `--scale N` to change the
  * divisor (1 = the paper's full grids) and `key=value` pairs to
- * override any SimConfig field.
+ * override any SimConfig field. mtp-sim takes the same common flags.
  */
 
 #ifndef MTP_BENCH_BENCH_COMMON_HH
 #define MTP_BENCH_BENCH_COMMON_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <functional>
+#include <memory>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
+#include "common/cli.hh"
 #include "mtprefetch/mtprefetch.hh"
+#include "obs/flight_recorder.hh"
 
 namespace mtp {
 namespace bench {
 
-/** Command-line options common to all harnesses. */
+/** The paper's 100K-cycle throttle period scaled with the grid divisor
+ *  (--scale): max(1000, 40000 / scaleDiv). */
+constexpr Cycle
+scaledThrottlePeriod(unsigned scaleDiv)
+{
+    return std::max<Cycle>(1000, 40000 / scaleDiv);
+}
+
+/** Command-line options common to all harnesses and mtp-sim. */
 struct Options
 {
     unsigned scaleDiv = 8;      //!< grid divisor vs. the paper
-    Cycle throttlePeriod = 5000; //!< scaled from the paper's 100K
+    Cycle throttlePeriod = scaledThrottlePeriod(8); //!< follows scaleDiv
     unsigned jobs = 0;          //!< worker threads (0 = all cores)
     Cycle samplePeriod = 0;     //!< --sample-period (0 = no sampling)
     bool quiet = false;         //!< --quiet: suppress human tables
     std::vector<std::string> overrides; //!< SimConfig key=value pairs
     std::vector<std::string> benchmarks; //!< subset filter (--bench a,b)
+
+    /** Set the grid divisor and the throttle period that follows it. */
+    void
+    setScale(unsigned div)
+    {
+        scaleDiv = div;
+        throttlePeriod = scaledThrottlePeriod(div);
+    }
 };
 
-/**
- * A harness-specific flag layered on top of the common CLI (--out,
- * for example). Extra flags are matched *before* the common set, so a
- * harness can shadow a common flag when its axis needs a different
- * shape.
- */
-struct FlagSpec
+/** --host-profile FILE and --watchdog-sec N: the host observability of
+ *  one mtp-sim or mtp-campaign run (DESIGN.md §12). */
+class HostObs
 {
-    std::string name;        //!< e.g. "--out"
-    bool takesValue = true;  //!< consumes the following argv entry
-    std::function<void(const std::string &)> handler;
+  public:
+    /** The two flag rows; they write into this object. */
+    std::vector<cli::Flag> flags();
+    bool profiling() const { return !profilePath_.empty(); }
+
+    /** Open the profiling window and arm the watchdog; call before any
+     *  executor exists, so its workers name themselves. */
+    void start();
+
+    /** Write the profile: @p counters plus host.wallSeconds and
+     *  host.runsPerSec. Returns its path, empty when off. */
+    const std::string &finish(const StatSet &counters);
+
+  private:
+    std::string profilePath_;
+    double watchdogSec_ = 0.0;
+    std::unique_ptr<obs::Watchdog> watchdog_;
 };
 
-/** Parse argv; recognises --scale, --bench, --jobs, --sample-period,
- *  --quiet, key=value overrides and any @p extra harness flags.
- *  Unknown flags are fatal with a consistent message across every
- *  harness. @p extraUsage is appended to the --help line. */
+/** Parse a command line: the program's @p extra rows, @p host's rows,
+ *  the common rows (--scale, --bench, --jobs, --sample-period, --quiet)
+ *  and key=value overrides as operands. */
 Options parseArgs(int argc, char **argv,
-                  const std::vector<FlagSpec> &extra = {},
-                  const std::string &extraUsage = "");
+                  const std::vector<cli::Flag> &extra = {},
+                  HostObs *host = nullptr);
+
+/** The host.* counters of an executor and its run cache, as --stats
+ *  dumps and host profiles carry them. */
+StatSet hostCounters(const driver::RunCache &cache,
+                     const driver::ParallelExecutor &exec);
 
 /** Table II baseline with the scaled throttle period + overrides. */
 SimConfig baseConfig(const Options &opts);
@@ -149,6 +182,9 @@ class Runner
 
     /** Cache entries discarded (always 0; see RunCache::evictions). */
     std::uint64_t cacheEvictions() const { return cache_.evictions(); }
+
+    /** The host.* counters (hostCounters()). */
+    StatSet hostCounters() const { return bench::hostCounters(cache_, exec_); }
 
     /**
      * Fingerprint tag of every distinct run submitted, in

@@ -12,11 +12,8 @@
  * disabled path's speed is gated by the repository benchmark's
  * absolute kcycles/s figures (BENCHMARK.json).
  *
- * Usage: bench_obs_overhead [--smoke] [--reps N] [--out FILE]
- *          [common harness flags] [key=value ...]
- *
- * The CLI is the shared harness parser (bench_common.hh); key=value
- * overrides apply to every timed run.
+ * --help prints the flags: the common harness rows plus --out, --reps
+ * and --smoke. key=value overrides apply to every timed run.
  */
 
 #include <algorithm>
@@ -66,21 +63,16 @@ main(int argc, char **argv)
     bool smoke = false;
     unsigned reps = 5;
     std::string out = "BENCH_obs_overhead.json";
-    std::vector<bench::FlagSpec> extra = {
-        {"--out", true, [&](const std::string &v) { out = v; }},
-        {"--reps", true,
-         [&](const std::string &v) {
-             reps = parseNumber<unsigned>("--reps", v);
-             if (reps == 0)
-                 MTP_FATAL("--reps must be >= 1");
-         }},
-        {"--smoke", false, [&](const std::string &) { smoke = true; }},
-    };
     bench::Options opts = bench::parseArgs(
-        argc, argv, extra, "[--out FILE] [--reps N] [--smoke]");
+        argc, argv,
+        {{"--out", "FILE", "result file (default BENCH_obs_overhead.json)",
+          [&](const cli::Arg &a) { out = a.value; }},
+         {"--reps", "N", "timed runs per variant, min taken (default 5)",
+          [&](const cli::Arg &a) { reps = a.number(1u); }},
+         {"--smoke", "", "scale 64 and 3 reps",
+          [&](const cli::Arg &) { smoke = true; }}});
     if (smoke) {
-        opts.scaleDiv = 64;
-        opts.throttlePeriod = std::max<Cycle>(1000, 40000 / 64);
+        opts.setScale(64);
         reps = 3;
     }
     if (!opts.benchmarks.empty())

@@ -26,11 +26,8 @@
  * and every re-measurement draws from one monotonic-clock budget, so
  * retries can never walk the job past its CTest timeout.
  *
- * Usage: bench_simrate [--scale N] [--bench a,b] [--out FILE]
- *                      [--smoke] [--gate]
- *
- * The CLI is the shared harness parser (bench_common.hh) with three
- * extra flags.
+ * --help prints the flags: the common harness rows plus --out,
+ * --smoke and --gate.
  */
 
 #include <algorithm>
@@ -255,22 +252,21 @@ main(int argc, char **argv)
     bool smoke = false;
     bool gate = false;
     std::string out = "BENCH_simrate.json";
-    std::vector<bench::FlagSpec> extra = {
-        {"--out", true, [&](const std::string &v) { out = v; }},
-        {"--smoke", false, [&](const std::string &) { smoke = true; }},
-        {"--gate", false, [&](const std::string &) { gate = true; }},
-    };
     bench::Options opts = bench::parseArgs(
-        argc, argv, extra, "[--out FILE] [--smoke] [--gate]");
+        argc, argv,
+        {{"--out", "FILE", "result file (default BENCH_simrate.json)",
+          [&](const cli::Arg &a) { out = a.value; }},
+         {"--smoke", "", "tiny geometry: scale 64, the microkernel only",
+          [&](const cli::Arg &) { smoke = true; }},
+         {"--gate", "", "fail below 1.0x per workload or 3.0x geomean speedup",
+          [&](const cli::Arg &) { gate = true; }}});
     if (smoke)
-        opts.scaleDiv = 64;
+        opts.setScale(64);
     unsigned scaleDiv = opts.scaleDiv;
     const std::vector<std::string> &filter = opts.benchmarks;
     const bool quiet = opts.quiet;
 
-    SimConfig cfg; // Table II baseline, no prefetching
-    cfg.throttlePeriod = 100000 / scaleDiv;
-    opts.throttlePeriod = cfg.throttlePeriod; // provenance fidelity
+    SimConfig cfg = bench::baseConfig(opts); // no prefetching
 
     // The microkernel runs on a two-core machine: severe latency-bound
     // low occupancy, the regime event-driven skipping targets. The

@@ -251,6 +251,7 @@ runCampaign(const Options &opts, const std::vector<std::string> &only,
     res.steals = runner.steals();
     res.cacheEvictions = runner.cacheEvictions();
     res.executorThreads = runner.jobs();
+    res.hostCounters = runner.hostCounters();
     res.runsPerSec = res.wallSeconds > 0.0
                          ? static_cast<double>(res.runsExecuted) /
                                res.wallSeconds

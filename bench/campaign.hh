@@ -168,6 +168,7 @@ struct CampaignResult
     std::uint64_t cacheEvictions = 0;
     unsigned executorThreads = 0;
     double runsPerSec = 0.0;
+    StatSet hostCounters; //!< the Runner's host.* counters (hostCounters())
     std::vector<FigureRun> figures;
     std::vector<RawFigure> rawFigures;
 };

@@ -7,6 +7,7 @@
 #include <type_traits>
 
 #include "common/bitutils.hh"
+#include "common/cli.hh"
 #include "common/log.hh"
 
 namespace mtp {
@@ -74,7 +75,7 @@ toString(SwPrefKind kind)
 
 template <typename T>
 T
-parseNumber(const std::string &key, const std::string &value)
+parseNumber(const std::string &key, const std::string &value, int status)
 {
     const char *kind = std::is_floating_point_v<T> ? "float"
                        : std::is_signed_v<T>       ? "integer"
@@ -95,19 +96,25 @@ parseNumber(const std::string &key, const std::string &value)
     else
         r = std::from_chars(begin, end, v, base);
     if (r.ec == std::errc::result_out_of_range)
-        MTP_FATAL(kind, " value '", value, "' out of range for '", key,
-                  "'");
+        cli::fail(detail::concat(kind, " value '", value,
+                                 "' out of range for '", key, "'"),
+                  status);
     if (r.ec != std::errc() || r.ptr != end)
-        MTP_FATAL("bad ", kind, " value '", value, "' for '", key, "'");
+        cli::fail(detail::concat("bad ", kind, " value '", value, "' for '",
+                                 key, "'"),
+                  status);
     return v;
 }
 
-template unsigned parseNumber(const std::string &, const std::string &);
-template std::uint16_t parseNumber(const std::string &, const std::string &);
-template std::uint64_t parseNumber(const std::string &, const std::string &);
-template std::int8_t parseNumber(const std::string &, const std::string &);
-template std::int64_t parseNumber(const std::string &, const std::string &);
-template double parseNumber(const std::string &, const std::string &);
+template unsigned parseNumber(const std::string &, const std::string &, int);
+template std::uint16_t parseNumber(const std::string &, const std::string &,
+                                   int);
+template std::uint64_t parseNumber(const std::string &, const std::string &,
+                                   int);
+template std::int8_t parseNumber(const std::string &, const std::string &, int);
+template std::int64_t parseNumber(const std::string &, const std::string &,
+                                  int);
+template double parseNumber(const std::string &, const std::string &, int);
 
 namespace {
 

@@ -52,11 +52,12 @@ std::string toString(SwPrefKind kind);
  * Checked number parser for config values, CLI flags and kernel files:
  * the whole of @p value must parse as T (std::from_chars; an unsigned T
  * also takes 0x hex), so a sign on an unsigned type, trailing text or
- * an out-of-range value exits 1 with one line naming @p key (a config
- * key, a flag such as "--scale" or a kernel file's file:line).
+ * an out-of-range value exits @p status with one line naming @p key (a
+ * config key, a flag such as "--scale" or a kernel file's file:line).
  */
 template <typename T>
-T parseNumber(const std::string &key, const std::string &value);
+T parseNumber(const std::string &key, const std::string &value,
+              int status = 1);
 
 /** Largest maxBlocksPerCore a config key or a kernel may ask for. */
 inline constexpr unsigned maxBlocksPerCoreLimit = 32;

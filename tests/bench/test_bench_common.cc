@@ -32,13 +32,15 @@ TEST(BenchCommon, ParseArgs)
     EXPECT_EQ(cfg.throttlePeriod, 10000u);
 
     // Malformed or out-of-range numbers exit naming the flag, and so
-    // do unknown flags (--out is the one output flag).
+    // do unknown flags (--out is the one output flag; there is no -q)
+    // and a flag whose value is missing (a null value ends argv).
     for (auto [flag, value] :
-         {std::pair{"--scale", "abc"}, std::pair{"--scale", "0"},
-          std::pair{"--jobs", "x"}, std::pair{"--sample-period", "1e3"},
-          std::pair{"--json", "x"}, std::pair{"--trace-out", "x"}}) {
+         {std::pair<const char *, const char *>{"--scale", "abc"},
+          {"--scale", "0"}, {"--jobs", "x"}, {"--sample-period", "1e3"},
+          {"--json", "x"}, {"--trace-out", "x"}, {"-q", "x"},
+          {"--scale", nullptr}}) {
         const char *bad[] = {"prog", flag, value};
-        EXPECT_EXIT(parseArgs(3, const_cast<char **>(bad)),
+        EXPECT_EXIT(parseArgs(value ? 3 : 2, const_cast<char **>(bad)),
                     ::testing::ExitedWithCode(1), flag);
     }
 }

@@ -43,9 +43,15 @@ run_step(0 ${MTP_REPORT} campaign show ${FRESH})
 run_step(0 ${MTP_REPORT} campaign diff ${GOLDEN} ${FRESH}
     --gate --tol-rel 5)
 
-# 4. Without --gate, drift reports but does not fail ...
+# 4. Without --gate, drift reports but does not fail ... The partial
+#    campaign also writes a host profile with the watchdog armed, the
+#    same two rows as mtp-sim's, and mtp-report renders it.
+set(HOST_PROFILE ${WORK_DIR}/campaign_gate.host.jsonl)
+file(REMOVE ${HOST_PROFILE})
 run_step(0 ${MTP_CAMPAIGN} --smoke --quiet --skip-volatile
-    --only tab03_characteristics --out ${PARTIAL})
+    --only tab03_characteristics --out ${PARTIAL}
+    --host-profile ${HOST_PROFILE} --watchdog-sec 120)
+run_step(0 ${MTP_REPORT} host ${HOST_PROFILE})
 run_step(0 ${MTP_REPORT} campaign diff ${GOLDEN} ${PARTIAL})
 
 # 5. ... and with --gate an incomplete campaign must trip it.
@@ -55,3 +61,12 @@ run_step(1 ${MTP_REPORT} campaign diff ${GOLDEN} ${PARTIAL} --gate)
 #    so it can never overwrite the default BENCH_campaign.json.
 run_step(1 ${MTP_CAMPAIGN} --smoke --quiet --skip-volatile
     --only tab03_characteristics)
+
+# 7. --host-profile-out is an unknown flag (--host-profile takes the
+#    FILE) and the watchdog needs a positive deadline. Both exit 1
+#    before anything simulates.
+run_step(1 ${MTP_CAMPAIGN} --smoke --quiet --skip-volatile
+    --only tab03_characteristics --out ${PARTIAL}
+    --host-profile-out ${HOST_PROFILE})
+run_step(1 ${MTP_CAMPAIGN} --smoke --quiet --skip-volatile
+    --only tab03_characteristics --out ${PARTIAL} --watchdog-sec 0)

@@ -24,23 +24,17 @@
  * "volatile": true — present for the record, ignored by the diff gate.
  *
  * `--only a,b` runs just the named figures (`--list` prints the
- * names) and requires `--out`.
- *
- * Usage:
- *   mtp-campaign [--out FILE] [--only a,b] [--list] [--smoke]
- *                [--skip-volatile] [--bench-dir DIR] [--no-session]
- *                + the common harness flags (--scale, --bench, --jobs,
- *                  --quiet, key=value overrides)
+ * names) and requires `--out`. --help prints the flags: the rows in
+ * main() plus the common harness rows; `--host-profile FILE` and
+ * `--watchdog-sec N` are the same rows as mtp-sim's (DESIGN.md §12).
  */
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -49,8 +43,6 @@
 
 #include "bench/campaign.hh"
 #include "bench/campaign_diff.hh"
-#include "obs/flight_recorder.hh"
-#include "obs/host_profiler.hh"
 
 namespace {
 
@@ -201,45 +193,28 @@ main(int argc, char **argv)
     bool skipVolatile = false;
     bool noSession = false;
     bool smoke = false;
-    bool hostProfile = false;
-    std::string hostProfileOut;
-    double watchdogSec = 0.0;
+    HostObs host;
 
-    std::vector<FlagSpec> extra = {
-        {"--out", true, [&](const std::string &v) { out = v; }},
-        {"--only", true,
-         [&](const std::string &v) {
-             std::stringstream ss(v);
-             std::string name;
-             while (std::getline(ss, name, ','))
-                 only.push_back(name);
+    std::vector<cli::Flag> flags = {
+        {"--out", "FILE", "manifest path (default BENCH_campaign.json)",
+         [&](const cli::Arg &a) { out = a.value; }},
+        {"--only", "LIST", "run just these figures (comma list; needs --out)",
+         [&](const cli::Arg &a) {
+             for (std::string &name : a.list())
+                 only.push_back(std::move(name));
          }},
-        {"--bench-dir", true,
-         [&](const std::string &v) { benchDir = v; }},
-        {"--list", false, [&](const std::string &) { list = true; }},
-        {"--skip-volatile", false,
-         [&](const std::string &) { skipVolatile = true; }},
-        {"--no-session", false,
-         [&](const std::string &) { noSession = true; }},
-        {"--smoke", false, [&](const std::string &) { smoke = true; }},
-        {"--host-profile", false,
-         [&](const std::string &) { hostProfile = true; }},
-        {"--host-profile-out", true,
-         [&](const std::string &v) {
-             hostProfile = true;
-             hostProfileOut = v;
-         }},
-        {"--watchdog-sec", true,
-         [&](const std::string &v) {
-             watchdogSec = parseNumber<double>("--watchdog-sec", v);
-         }},
+        {"--list", "", "list the figures and exit",
+         [&](const cli::Arg &) { list = true; }},
+        {"--smoke", "", "the reduced CI campaign: scale 64, four benchmarks",
+         [&](const cli::Arg &) { smoke = true; }},
+        {"--skip-volatile", "", "skip the two wall-clock harnesses",
+         [&](const cli::Arg &) { skipVolatile = true; }},
+        {"--bench-dir", "DIR", "wall-clock harness binaries (default ../bench)",
+         [&](const cli::Arg &a) { benchDir = a.value; }},
+        {"--no-session", "", "no volatile session block in the manifest",
+         [&](const cli::Arg &) { noSession = true; }},
     };
-    Options opts = parseArgs(
-        argc, argv, extra,
-        "[--out FILE] [--only a,b] [--list] [--smoke] "
-        "[--skip-volatile] [--bench-dir DIR] [--no-session] "
-        "[--host-profile] [--host-profile-out FILE] "
-        "[--watchdog-sec N]");
+    Options opts = parseArgs(argc, argv, flags, &host);
 
     if (list) {
         for (const auto &spec : campaignSpecs())
@@ -264,32 +239,16 @@ main(int argc, char **argv)
         // The reduced campaign behind the CI gate and the unit tests:
         // 1/64 geometry and a class-covering benchmark subset keep the
         // full figure set under a minute on one core.
-        opts.scaleDiv = 64;
-        opts.throttlePeriod = std::max<Cycle>(1000, 40000 / 64);
+        opts.setScale(64);
         if (opts.benchmarks.empty())
             opts.benchmarks = {"scalar", "stream", "backprop", "cfd"};
     }
     if (benchDir.empty())
         benchDir = dirnameOf(argv[0]) + "/../bench";
 
-    // Host observability (DESIGN.md §12): the profiler window opens
-    // before the Runner spawns its executor so worker threads name
-    // themselves; the watchdog's heartbeat comes from executor tasks
-    // and every simulation's sampler boundaries (CampaignProgress).
-    if (hostProfile) {
-        obs::HostProfiler::enable();
-        obs::HostProfiler::nameThread("main");
-        if (hostProfileOut.empty())
-            hostProfileOut = out + ".host.jsonl";
-    }
-    if (watchdogSec < 0.0 || watchdogSec != watchdogSec)
-        MTP_FATAL("--watchdog-sec must be > 0");
-    std::unique_ptr<obs::Watchdog> watchdog;
-    if (watchdogSec > 0.0) {
-        obs::FlightRecorder::installCrashHandler();
-        watchdog = std::make_unique<obs::Watchdog>(watchdogSec,
-                                                   hostProfileOut);
-    }
+    // The watchdog's heartbeat comes from executor tasks and every
+    // simulation's sampler boundaries (CampaignProgress).
+    host.start();
 
     CampaignProgress progress;
     std::unique_ptr<Ticker> ticker;
@@ -330,29 +289,10 @@ main(int argc, char **argv)
 
     ticker.reset(); // clear the status line before the summary
 
-    if (hostProfile) {
-        obs::HostProfiler::Snapshot snap =
-            obs::HostProfiler::snapshot();
-        std::vector<std::pair<std::string, double>> counters = {
-            {"host.cache.hits", static_cast<double>(res.cacheHits)},
-            {"host.cache.misses",
-             static_cast<double>(res.cacheMisses)},
-            {"host.cache.evictions",
-             static_cast<double>(res.cacheEvictions)},
-            {"host.exec.threads",
-             static_cast<double>(res.executorThreads)},
-            {"host.exec.steals", static_cast<double>(res.steals)},
-            {"host.wallSeconds", res.wallSeconds},
-            {"host.runsPerSec", res.runsPerSec},
-        };
-        std::FILE *f = std::fopen(hostProfileOut.c_str(), "w");
-        if (!f)
-            MTP_FATAL("cannot write '", hostProfileOut, "'");
-        obs::writeHostProfileJsonl(f, snap, counters);
-        std::fclose(f);
+    const std::string &profile = host.finish(res.hostCounters);
+    if (!profile.empty())
         std::printf("wrote %s (mtp-report host renders it)\n",
-                    hostProfileOut.c_str());
-    }
+                    profile.c_str());
 
     std::ofstream os(out, std::ios::binary);
     if (!os)

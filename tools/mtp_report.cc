@@ -1,34 +1,17 @@
 /**
  * @file
- * mtp-report: offline analysis of mtp-sim run artifacts (the StatSet
- * JSON written by --stats --json, optionally the JSONL written by
- * --events).
+ * mtp-report: offline analysis of mtp-sim and mtp-campaign artifacts.
+ * `show`, `compare` and `diff` read the StatSet JSON of `mtp-sim
+ * --stats f.json`: the stall breakdown (DESIGN.md §9), the speedup
+ * with the MTAML check (paper Sec. IV) and the cycle regression gate.
+ * `campaign show` and `campaign diff` summarize and gate manifests
+ * (DESIGN.md §11); `host` renders a --host-profile FILE (DESIGN.md
+ * §12). Each subcommand's flags are rows of the table in main();
+ * --help prints them.
  *
- *   mtp-report show <stats.json> [more.json ...]
- *       per-run stall-breakdown table (DESIGN.md §9 taxonomy)
- *   mtp-report compare <baseline.json> <run.json> [more.json ...]
- *       speedup vs. the baseline, prefetch benefit attributed to
- *       removed memory-stall cycles, and the measured effect checked
- *       against the MTAML prediction (paper Sec. IV)
- *   mtp-report diff <A.json> <B.json> [--gate <pct>]
- *       regression gate: exit 1 when B's cycles exceed A's by more
- *       than <pct> percent (default 0)
- *   mtp-report campaign show <BENCH_campaign.json>
- *       provenance + per-figure summary of a campaign manifest
- *   mtp-report campaign diff <golden.json> <current.json> [--gate]
- *       [--tol-rel <pct>] [--tol-abs <v>] [--tol <pattern>=<pct>]...
- *       figure-drift check against a golden snapshot under the
- *       per-metric tolerance schema (DESIGN.md §11); --gate makes
- *       drift exit 1
- *   mtp-report host <host.jsonl>
- *       host-profiler report (DESIGN.md §12): per-worker busy/wait/
- *       idle fractions of the profiling window plus a self-time phase
- *       table, from the JSONL written by --host-profile
- *   --jsonl <events.jsonl>   attach a sampled time-series summary
- *
- * Exit status: 0 on success, 1 on a detected regression (diff mode)
- * or gated figure drift (campaign diff --gate), other nonzero on
- * usage or input errors.
+ * Exit status: 0 on success, 1 on a detected regression (diff) or
+ * gated figure drift (campaign diff --gate), 2 on a usage or input
+ * error, with one stderr line naming it.
  */
 
 #include <algorithm>
@@ -41,12 +24,24 @@
 #include <vector>
 
 #include "bench/campaign_diff.hh"
+#include "common/cli.hh"
 #include "mtprefetch/mtprefetch.hh"
 #include "sim/cycle_accounting.hh"
 
 namespace {
 
 using namespace mtp;
+
+/** Exit status of a usage or input error; 1 means regression or drift. */
+constexpr int usageStatus = 2;
+
+/** An unreadable or malformed input: one stderr line, exit 2. */
+template <typename... Args>
+[[noreturn]] void
+badInput(Args &&...args)
+{
+    cli::fail(detail::concat(std::forward<Args>(args)...), usageStatus);
+}
 
 /** One loaded stats file. */
 struct Run
@@ -60,8 +55,8 @@ struct Run
     {
         auto it = stats.find(name);
         if (it == stats.end())
-            MTP_FATAL("'", path, "' has no statistic '", name,
-                      "' — was it written by mtp-sim --stats --json?");
+            badInput("'", path, "' has no statistic '", name,
+                     "' — was it written by mtp-sim --stats f.json?");
         return it->second;
     }
 
@@ -117,15 +112,15 @@ loadStats(const std::string &path)
 {
     std::ifstream in(path);
     if (!in)
-        MTP_FATAL("cannot read '", path, "'");
+        badInput("cannot read '", path, "'");
     std::stringstream ss;
     ss << in.rdbuf();
     obs::JsonValue doc;
     std::string error;
     if (!obs::parseJson(ss.str(), doc, &error))
-        MTP_FATAL("'", path, "': invalid JSON: ", error);
+        badInput("'", path, "': invalid JSON: ", error);
     if (!doc.isObject())
-        MTP_FATAL("'", path, "': expected a top-level JSON object");
+        badInput("'", path, "': expected a top-level JSON object");
     Run run;
     run.path = path;
     run.label = basenameNoExt(path);
@@ -136,7 +131,7 @@ loadStats(const std::string &path)
             run.stats.emplace(name, value->number);
     }
     if (run.stats.empty())
-        MTP_FATAL("'", path, "': no numeric statistics found");
+        badInput("'", path, "': no numeric statistics found");
     return run;
 }
 
@@ -368,7 +363,7 @@ campaignShow(const std::string &path)
     obs::JsonValue doc;
     std::string error;
     if (!bench::loadManifest(path, doc, &error))
-        MTP_FATAL(error);
+        badInput(error);
 
     if (const obs::JsonValue *p = doc.find("provenance")) {
         auto field = [&](const char *key) -> std::string {
@@ -405,8 +400,8 @@ campaignShow(const std::string &path)
 
     const obs::JsonValue *figs = doc.find("figures");
     if (!figs || !figs->isArray())
-        MTP_FATAL("'", path, "' has no figures array — was it written "
-                  "by mtp-campaign?");
+        badInput("'", path, "' has no figures array — was it written "
+                 "by mtp-campaign?");
     std::printf("\n%-24s %-18s %6s  %s\n", "figure", "anchor", "runs",
                 "summary");
     for (const auto &f : figs->array) {
@@ -455,9 +450,9 @@ campaignDiff(const std::string &goldenPath,
     obs::JsonValue golden, current;
     std::string error;
     if (!bench::loadManifest(goldenPath, golden, &error))
-        MTP_FATAL(error);
+        badInput(error);
     if (!bench::loadManifest(currentPath, current, &error))
-        MTP_FATAL(error);
+        badInput(error);
 
     std::vector<bench::DiffViolation> violations;
     bool ok = bench::diffManifests(golden, current, tol, violations);
@@ -483,7 +478,7 @@ summarizeJsonl(const std::string &path)
 {
     std::ifstream in(path);
     if (!in)
-        MTP_FATAL("cannot read '", path, "'");
+        badInput("cannot read '", path, "'");
     std::string line;
     std::uint64_t samples = 0;
     std::uint64_t events = 0;
@@ -495,7 +490,7 @@ summarizeJsonl(const std::string &path)
         obs::JsonValue doc;
         std::string error;
         if (!obs::parseJson(line, doc, &error))
-            MTP_FATAL("'", path, "': invalid JSONL line: ", error);
+            badInput("'", path, "': invalid JSONL line: ", error);
         const obs::JsonValue *t = doc.find("t");
         if (!t || !t->isString())
             continue;
@@ -560,7 +555,7 @@ reportHost(const std::string &path)
 {
     std::ifstream in(path);
     if (!in)
-        MTP_FATAL("cannot read '", path, "'");
+        badInput("cannot read '", path, "'");
 
     struct HostThread
     {
@@ -580,7 +575,7 @@ reportHost(const std::string &path)
         obs::JsonValue doc;
         std::string error;
         if (!obs::parseJson(line, doc, &error))
-            MTP_FATAL("'", path, "': invalid JSONL line: ", error);
+            badInput("'", path, "': invalid JSONL line: ", error);
         const obs::JsonValue *type = doc.find("type");
         if (!type || !type->isString())
             continue;
@@ -611,8 +606,8 @@ reportHost(const std::string &path)
         }
     }
     if (wallNs <= 0.0 || threads.empty())
-        MTP_FATAL("'", path, "' has no host.meta/host.thread records — "
-                  "was it written by --host-profile?");
+        badInput("'", path, "' has no host.meta/host.thread records — "
+                 "was it written by --host-profile?");
 
     std::printf("host profile %s: %.3f s wall, %zu threads\n\n",
                 path.c_str(), wallNs / 1e9, threads.size());
@@ -673,156 +668,87 @@ reportHost(const std::string &path)
     }
 }
 
-void
-usage(const char *argv0)
-{
-    std::printf(
-        "usage: %s <mode> [args]\n"
-        "  show <stats.json>...                stall-breakdown table\n"
-        "  compare <baseline.json> <run.json>... speedup + MTAML check\n"
-        "  diff <A.json> <B.json> [--gate pct] regression gate (exit 1)\n"
-        "  campaign show <BENCH_campaign.json> manifest summary\n"
-        "  campaign diff <golden> <current> [--gate] [--tol-rel pct]\n"
-        "      [--tol-abs v] [--tol pattern=pct]... figure-drift check\n"
-        "  host <host.jsonl>                   host-profiler report\n"
-        "      (per-worker busy/wait/idle, phase table; written by\n"
-        "       mtp-sim/mtp-campaign --host-profile, DESIGN.md §12)\n"
-        "  any mode: --jsonl <events.jsonl>    time-series summary\n"
-        "Inputs are mtp-sim artifacts (--stats <f> --json, --events "
-        "<f>)\nor mtp-campaign manifests.\n",
-        argv0);
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    if (argc < 2) {
-        usage(argv[0]);
-        return 2;
-    }
-    std::string mode = argv[1];
-    if (mode == "--help" || mode == "-h") {
-        usage(argv[0]);
-        return 0;
-    }
-    if (mode == "campaign") {
-        // Campaign subcommands parse their own flags: --gate here is
-        // boolean, unlike the plain diff's --gate <pct>.
-        std::string sub = argc > 2 ? argv[2] : "";
-        std::vector<std::string> files;
-        bench::Tolerances tol;
-        bool gate = false;
-        for (int i = 3; i < argc; ++i) {
-            std::string arg = argv[i];
-            auto next = [&](const char *what) -> std::string {
-                if (i + 1 >= argc)
-                    MTP_FATAL(what, " needs an argument");
-                return argv[++i];
-            };
-            if (arg == "--gate") {
-                gate = true;
-            } else if (arg == "--tol-rel") {
-                tol.relPct =
-                    parseNumber<double>("--tol-rel", next("--tol-rel"));
-            } else if (arg == "--tol-abs") {
-                tol.abs =
-                    parseNumber<double>("--tol-abs", next("--tol-abs"));
-            } else if (arg == "--tol") {
-                std::string rule = next("--tol");
-                auto eq = rule.find_last_of('=');
-                if (eq == std::string::npos || eq == 0)
-                    MTP_FATAL("--tol expects <pattern>=<pct>, got '",
-                              rule, "'");
-                tol.rules.push_back(
-                    {rule.substr(0, eq),
-                     parseNumber<double>("--tol", rule.substr(eq + 1))});
-            } else if (arg == "--help" || arg == "-h") {
-                usage(argv[0]);
-                return 0;
-            } else if (!arg.empty() && arg[0] == '-') {
-                std::fprintf(stderr, "unknown option '%s'\n",
-                             arg.c_str());
-                usage(argv[0]);
-                return 2;
-            } else {
-                files.push_back(arg);
-            }
-        }
-        if (sub == "show" && files.size() == 1) {
-            campaignShow(files[0]);
-            return 0;
-        }
-        if (sub == "diff" && files.size() == 2)
-            return campaignDiff(files[0], files[1], tol, gate);
-        usage(argv[0]);
-        return 2;
-    }
     std::vector<std::string> files;
     std::string jsonl;
-    double gate = 0.0;
-    for (int i = 2; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&](const char *what) -> std::string {
-            if (i + 1 >= argc)
-                MTP_FATAL(what, " needs an argument");
-            return argv[++i];
-        };
-        if (arg == "--gate") {
-            gate = parseNumber<double>("--gate", next("--gate"));
-        } else if (arg == "--jsonl") {
-            jsonl = next("--jsonl");
-        } else if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-            usage(argv[0]);
-            return 2;
-        } else {
-            files.push_back(arg);
-        }
-    }
+    double gatePct = 0.0;
+    bool gate = false;
+    bench::Tolerances tol;
 
-    int status = 0;
-    if (mode == "show") {
-        if (files.empty()) {
-            usage(argv[0]);
-            return 2;
-        }
-        std::vector<Run> runs;
+    auto addFile = [&](const cli::Arg &a) { files.push_back(a.value); };
+    const cli::Flag jsonlRow{
+        "--jsonl", "FILE", "attach a sampled time-series summary",
+        [&](const cli::Arg &a) { jsonl = a.value; }};
+    enum { Show, Compare, Diff, CampaignShow, CampaignDiff, Host };
+    std::size_t mode = cli::parse(
+        argc, argv,
+        {
+            {"show", "<stats.json>...",
+             "per-run stall-breakdown table (DESIGN.md §9)", {jsonlRow},
+             addFile, 1},
+            {"compare", "<baseline.json> <run.json>...",
+             "speedup vs. the baseline and the MTAML check", {jsonlRow},
+             addFile, 2},
+            {"diff", "<A.json> <B.json>", "regression gate: B's cycles vs. A's",
+             {{"--gate", "PCT", "allowed cycle growth in percent (default 0)",
+               [&](const cli::Arg &a) { gatePct = a.number<double>(); }},
+              jsonlRow},
+             addFile, 2, 2},
+            {"campaign show", "<BENCH_campaign.json>", "manifest summary", {},
+             addFile, 1, 1},
+            {"campaign diff", "<golden.json> <current.json>",
+             "figure-drift check (DESIGN.md §11)",
+             {{"--gate", "", "exit 1 on drift",
+               [&](const cli::Arg &) { gate = true; }},
+              {"--tol-rel", "PCT", "relative tolerance in percent",
+               [&](const cli::Arg &a) { tol.relPct = a.number<double>(); }},
+              {"--tol-abs", "V", "absolute tolerance",
+               [&](const cli::Arg &a) { tol.abs = a.number<double>(); }},
+              {"--tol", "PATTERN=PCT",
+               "per-metric relative tolerance (repeatable)",
+               [&](const cli::Arg &a) {
+                   auto eq = a.value.find_last_of('=');
+                   if (eq == std::string::npos || eq == 0)
+                       a.fail("--tol expects <pattern>=<pct>, got '" +
+                              a.value + "'");
+                   cli::Arg pct{a.flag, a.value.substr(eq + 1), a.status};
+                   tol.rules.push_back(
+                       {a.value.substr(0, eq), pct.number<double>()});
+               }}},
+             addFile, 2, 2},
+            {"host", "<host.jsonl>", "host-profiler report (DESIGN.md §12)",
+             {jsonlRow}, addFile, 1, 1},
+        },
+        usageStatus);
+
+    std::vector<Run> runs;
+    if (mode == Show || mode == Compare || mode == Diff)
         for (const auto &f : files)
             runs.push_back(loadStats(f));
+    int status = 0;
+    switch (mode) {
+      case Show:
         printBreakdown(runs);
         printScheduler(runs);
-    } else if (mode == "compare") {
-        if (files.size() < 2) {
-            usage(argv[0]);
-            return 2;
-        }
-        Run base = loadStats(files.front());
-        std::vector<Run> runs;
-        for (std::size_t i = 1; i < files.size(); ++i)
-            runs.push_back(loadStats(files[i]));
-        printCompare(base, runs);
-    } else if (mode == "diff") {
-        if (files.size() != 2) {
-            usage(argv[0]);
-            return 2;
-        }
-        status = printDiff(loadStats(files[0]), loadStats(files[1]),
-                           gate);
-    } else if (mode == "host") {
-        if (files.size() != 1) {
-            usage(argv[0]);
-            return 2;
-        }
+        break;
+      case Compare:
+        printCompare(runs[0], {runs.begin() + 1, runs.end()});
+        break;
+      case Diff:
+        status = printDiff(runs[0], runs[1], gatePct);
+        break;
+      case CampaignShow:
+        campaignShow(files[0]);
+        break;
+      case CampaignDiff:
+        return campaignDiff(files[0], files[1], tol, gate);
+      case Host:
         reportHost(files[0]);
-    } else {
-        std::fprintf(stderr, "unknown mode '%s'\n", mode.c_str());
-        usage(argv[0]);
-        return 2;
+        break;
     }
     if (!jsonl.empty())
         summarizeJsonl(jsonl);
