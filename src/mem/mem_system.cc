@@ -99,6 +99,8 @@ MemSystem::injectFromPort(unsigned port, Cycle now)
                      stage(obs::Stage::IcntInject, mrq.head().addr,
                            static_cast<std::uint8_t>(mrq.head().type),
                            core, ch, now));
+        if (mrq.full())
+            mrqFreedTo_.push_back(core);
         reqNet_.send(ch, mrq.pop(), now);
         MTP_ASSERT(mrqOccupancy_ > 0, "MRQ occupancy underflow");
         --mrqOccupancy_;
@@ -186,6 +188,7 @@ void
 MemSystem::tick(Cycle now)
 {
     deliveredTo_.clear();
+    mrqFreedTo_.clear();
     deliverRequests(now);
     for (unsigned ch = 0; ch < channels_.size(); ++ch)
         tickChannel(ch, now);
@@ -198,6 +201,7 @@ void
 MemSystem::tickQueued(Cycle now)
 {
     deliveredTo_.clear();
+    mrqFreedTo_.clear();
     // Request delivery only when a packet's arrival time has passed; a
     // delivery blocked on a full controller buffer keeps the arrival
     // bound at or below now, so the phase re-runs every cycle until

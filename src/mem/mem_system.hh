@@ -70,6 +70,13 @@ class MemSystem
         return deliveredTo_;
     }
 
+    /**
+     * Cores whose full MRQ popped during the last tick()/tickQueued().
+     * A core whose LSU is blocked on its full MRQ sleeps until this
+     * pop; the event-queue loop arms these cores for the next cycle.
+     */
+    const std::vector<CoreId> &mrqFreedCores() const { return mrqFreedTo_; }
+
     /** Requests currently waiting in core MRQs. */
     std::uint64_t mrqOccupancy() const { return mrqOccupancy_; }
 
@@ -176,6 +183,7 @@ class MemSystem
     std::vector<std::vector<MemRequest>> completions_;
     std::vector<MemRequest> completedScratch_;
     std::vector<CoreId> deliveredTo_; //!< cores woken by the last tick
+    std::vector<CoreId> mrqFreedTo_;  //!< cores whose full MRQ popped
 
     /** Per-channel horizon cache entry (see channelHorizonAt()). */
     struct ChanHorizon

@@ -56,12 +56,18 @@ class Mrq
     bool upgradeToDemand(Addr addr);
 
     /**
-     * Count a cycle in which an upstream unit (the LSU) held a request
-     * back because the queue was full — the gated counterpart of a
-     * rejected push, and the per-cycle injection-backpressure signal
-     * cycle accounting attributes to StallIcnt.
+     * Count @p n cycles in which an upstream unit (the LSU) held a
+     * request back because the queue was full — the gated counterpart
+     * of a rejected push, and the per-cycle injection-backpressure
+     * signal cycle accounting attributes to StallIcnt.
      */
-    void noteGatedStall() { ++counters_.gatedStalls; }
+    void noteGatedStall(std::uint64_t n = 1) { counters_.gatedStalls += n; }
+
+    /**
+     * Count @p n pushes rejected on a full queue without making them:
+     * the retries of a store the core left parked (Core::accountSkip()).
+     */
+    void noteFullStalls(std::uint64_t n) { counters_.fullStalls += n; }
 
     const Counters &counters() const { return counters_; }
 

@@ -79,6 +79,9 @@ class Mshr
     /** @return the entry tracking @p addr, or nullptr. */
     Entry *find(Addr addr);
 
+    /** @return true iff @p addr is in flight (no state change). */
+    bool contains(Addr addr) const { return map_.contains(addr); }
+
     /**
      * Demand-load lookup/merge. If the block is in flight, the waiter
      * joins it; otherwise an entry is allocated (caller must then send
@@ -102,8 +105,8 @@ class Mshr
      */
     Entry retire(Addr addr);
 
-    /** Record a stall caused by MSHR exhaustion. */
-    void noteFullStall() { ++counters_.fullStalls; }
+    /** Record @p n stalls caused by MSHR exhaustion. */
+    void noteFullStall(std::uint64_t n = 1) { counters_.fullStalls += n; }
 
     const Counters &counters() const { return counters_; }
 

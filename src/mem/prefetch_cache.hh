@@ -50,6 +50,13 @@ class PrefetchCache
     bool contains(Addr addr) const { return cache_.contains(addr); }
 
     /**
+     * Count @p n demand lookups that miss, without making them: a miss
+     * changes nothing else, so a parked LSU retry's repeated lookups
+     * are booked in bulk (Core::accountSkip()).
+     */
+    void noteDemandMisses(std::uint64_t n) { counters_.demandMisses += n; }
+
+    /**
      * Fill a returning prefetched block. An evicted not-yet-used
      * prefetched block counts as an early eviction.
      * @param earlyEvicted set to the evicted unused block's address, or

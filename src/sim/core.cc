@@ -1,5 +1,7 @@
 #include "sim/core.hh"
 
+#include <algorithm>
+
 #include "common/log.hh"
 #include "trace/coalescer.hh"
 
@@ -29,6 +31,7 @@ Core::Core(const SimConfig &cfg, CoreId id, const KernelDesc *kernel,
     warpIssueCycles_.assign(warps_.size(), 0);
     warpStallCycles_.assign(warps_.size(), 0);
     issuable_.resize(warps_.size());
+    aluIssuable_.resize(warps_.size());
     retirable_.resize(warps_.size());
     freeBlockSlots_.resize(maxBlocks_);
     for (unsigned s = 0; s < maxBlocks_; ++s)
@@ -53,6 +56,7 @@ Core::refreshWarp(std::uint32_t idx)
     bool issuable = warp.active && !warp.cursor.done() &&
                     warp.canIssue(warp.cursor.inst());
     issuable_.assign(idx, issuable);
+    aluIssuable_.assign(idx, issuable && !usesLsu(warp.cursor.inst()));
     retirable_.assign(idx, warp.retirable());
 }
 
@@ -393,17 +397,21 @@ Core::issue(Cycle now)
                       w.canIssue(w.cursor.inst());
         MTP_ASSERT(issuable_.test(i) == expect,
                    "issuable bit out of sync for warp ", i);
+        MTP_ASSERT(aluIssuable_.test(i) ==
+                       (expect && !usesLsu(w.cursor.inst())),
+                   "ALU-issuable bit out of sync for warp ", i);
     }
 #endif
-    if (!issuable_.any())
+    const DynBitset &candidates = issueCandidates();
+    if (!candidates.any())
         return;
     // Greedy-then-round-robin: keep issuing from the current warp until
     // it stalls (Table II: "executes instructions from one warp,
     // switching to another warp if source operands are not ready").
     // The pure round-robin ablation always moves to the next warp.
-    // Visiting the issuable bitset in index order from `first` with
+    // Visiting the candidate bitset in index order from `first` with
     // wraparound reproduces the original (first + k) % n scan exactly;
-    // time (readyAt) and structural (LSU) hazards are re-checked here.
+    // the time (readyAt) hazard is re-checked here.
     std::uint32_t first =
         (cfg_.schedGreedy ? lastIssued_ : lastIssued_ + 1) % n;
     auto tryIssue = [&](std::uint32_t idx) -> bool {
@@ -411,9 +419,7 @@ Core::issue(Cycle now)
         if (warp.readyAt > now)
             return false;
         const StaticInst &inst = warp.cursor.inst();
-        bool is_mem = isMemOp(inst.op) && !cfg_.perfectMemory;
-        if (is_mem && lsu_.valid)
-            return false; // LSU structural hazard
+        bool is_mem = usesLsu(inst);
 
         // Issue.
         Cycle occ = occupancy(inst);
@@ -450,14 +456,14 @@ Core::issue(Cycle now)
         lastIssued_ = idx;
         return true;
     };
-    for (std::size_t idx = issuable_.findNextSet(first);
-         idx != DynBitset::npos; idx = issuable_.findNextSet(idx + 1)) {
+    for (std::size_t idx = candidates.findNextSet(first);
+         idx != DynBitset::npos; idx = candidates.findNextSet(idx + 1)) {
         if (tryIssue(static_cast<std::uint32_t>(idx)))
             return;
     }
-    for (std::size_t idx = issuable_.findNextSet(0);
+    for (std::size_t idx = candidates.findNextSet(0);
          idx != DynBitset::npos && idx < first;
-         idx = issuable_.findNextSet(idx + 1)) {
+         idx = candidates.findNextSet(idx + 1)) {
         if (tryIssue(static_cast<std::uint32_t>(idx)))
             return;
     }
@@ -483,6 +489,7 @@ Core::retireWarps()
         warp.active = false;
         retirable_.clear(idx);
         issuable_.clear(idx);
+        aluIssuable_.clear(idx);
         MTP_ASSERT(activeWarpCount_ > 0, "active-warp underflow");
         --activeWarpCount_;
         ++counters_.warpsCompleted;
@@ -500,24 +507,27 @@ Core::retireWarps()
 Cycle
 Core::nextEventAt(Cycle now) const
 {
-    // A pending LSU operation retries every cycle (and a full MSHR
-    // counts a stall per retry cycle): never skip past it.
-    if (lsu_.valid)
+    // An LSU operation that moved last tick, or has yet to try, acts
+    // again this cycle. A blocked one would repeat its failed retry
+    // until a completion or a pop of its full MRQ wakes the core (both
+    // are wake edges of the event-queue loop), so it bounds nothing.
+    if (lsu_.valid && lsuBlock_ == LsuBlock::None)
         return now;
     Cycle e = invalidCycle;
     if (periodObservable_)
         e = nextPeriodAt_;
     if (e > now) {
         // Earliest possible issue: execution unit free AND some
-        // issuable warp past its readyAt, i.e. max(execBusyUntil_,
+        // issue candidate past its readyAt, i.e. max(execBusyUntil_,
         // min readyAt). Any readyAt at or below the floor
         // max(now, execBusyUntil_) pins the result to the floor
         // exactly (min_ready <= floor clamps the max to it), so the
         // word-at-a-time scan exits early on the first such warp —
         // same return value as the exhaustive minimum.
+        const DynBitset &candidates = issueCandidates();
         Cycle floor = std::max(now, execBusyUntil_);
         Cycle min_ready = invalidCycle;
-        bool pinned = !issuable_.forEachSet([&](std::size_t idx) {
+        bool pinned = !candidates.forEachSet([&](std::size_t idx) {
             Cycle r = warps_[idx].readyAt;
             if (r <= floor)
                 return false;
@@ -580,6 +590,34 @@ Core::periodUpdate(Cycle now)
                 lateThrottle_->updatePeriod(late);
         }
     }
+}
+
+Core::LsuBlock
+Core::retryBlock(bool mrqFull) const
+{
+    // processLsu()'s tests for the head transaction, in its order.
+    if (!lsu_.valid || lsu_.next >= lsu_.txns.size())
+        return LsuBlock::None;
+    Addr addr = lsu_.txns[lsu_.next].addr;
+    switch (lsu_.type) {
+      case ReqType::DemandLoad:
+        if (prefCache_.contains(addr) || mshr_.contains(addr))
+            return LsuBlock::None;
+        if (mshr_.full())
+            return LsuBlock::MshrFull;
+        return mrqFull ? LsuBlock::MrqFull : LsuBlock::None;
+      case ReqType::DemandStore:
+        return mrqFull ? LsuBlock::MrqFull : LsuBlock::None;
+      default:
+        return LsuBlock::None; // prefetches are dropped, never retried
+    }
+}
+
+bool
+Core::lsuBlockHolds() const
+{
+    return lsuBlock_ == LsuBlock::None ||
+           retryBlock(mem_->mrq(id_).full()) == lsuBlock_;
 }
 
 Core::StallClass
@@ -645,18 +683,46 @@ void
 Core::accountSkip(Cycle from, Cycle to)
 {
     MTP_ASSERT(to > from, "accountSkip() over an empty window");
-    // The event horizon only skips windows in which this core is
-    // quiescent: a pending LSU op pins nextEventAt() to now, so the
-    // LSU categories (and issues) can only occur in stepped cycles,
-    // and the block reason was reset by the last stepped tick.
-    MTP_ASSERT(!lsu_.valid, "skipped a window with a pending LSU op");
-    MTP_ASSERT(lsuBlock_ == LsuBlock::None,
-               "stale LSU block reason across a skip");
+    // The event horizon only skips windows in which this core issues
+    // nothing and its LSU either sits idle or is blocked: an LSU op
+    // that moved last tick pins nextEventAt() to now.
+    MTP_ASSERT(lsu_.valid == (lsuBlock_ != LsuBlock::None),
+               "skipped a window with a moving LSU op");
     const std::uint64_t len = to - from;
+    const bool load = lsu_.type == ReqType::DemandLoad;
+    Mrq &mrq = mem_->mrq(id_);
 #if MTP_SLOW_CHECKS
     const CycleBreakdown before = cycleCat_;
+    // The counters a failed LSU retry bumps.
+    struct Retries
+    {
+        std::uint64_t pcMisses, mshrFull, mrqGated, mrqFull;
+        bool operator==(const Retries &) const = default;
+    };
+    auto retries = [&] {
+        return Retries{prefCache_.counters().demandMisses,
+                       mshr_.counters().fullStalls,
+                       mrq.counters().gatedStalls, mrq.counters().fullStalls};
+    };
+    const Retries retriesBefore = retries();
 #endif
-    if (activeWarpCount_ == 0) {
+    if (lsuBlock_ != LsuBlock::None) {
+        // Each cycle repeats the last tick's failed retry: nothing the
+        // retry reads can change before a wake edge ends the window.
+        // A load's retry misses the prefetch cache first.
+        if (load)
+            prefCache_.noteDemandMisses(len);
+        if (lsuBlock_ == LsuBlock::MshrFull) {
+            mshr_.noteFullStall(len);
+            cycleCat_[static_cast<unsigned>(CycleCat::StallMshrFull)] += len;
+        } else {
+            if (load)
+                mrq.noteGatedStall(len);
+            else
+                mrq.noteFullStalls(len); // the store's rejected push
+            cycleCat_[static_cast<unsigned>(CycleCat::StallIcnt)] += len;
+        }
+    } else if (activeWarpCount_ == 0) {
         cycleCat_[static_cast<unsigned>(CycleCat::IdleNoWarps)] += len;
     } else {
         // Exec-busy outranks the memory/operand waits in the per-cycle
@@ -692,15 +758,39 @@ Core::accountSkip(Cycle from, Cycle to)
     }
 #if MTP_SLOW_CHECKS
     // Cross-check the analytic split against the naive per-cycle
-    // classifier the fastForward=false loop would have run.
+    // classifier and LSU retry the fastForward=false loop would have
+    // run. The retry is re-evaluated from the structures themselves,
+    // not from lsuBlock_. A pop that ended the window came in its last
+    // cycle's memory phase, after that cycle's retry had seen the MRQ
+    // full.
+    const auto &freed = mem_->mrqFreedCores();
+    const bool mrqWasFull =
+        mrq.full() ||
+        std::find(freed.begin(), freed.end(), id_) != freed.end();
     CycleBreakdown naive{};
-    for (Cycle c = from; c < to; ++c)
+    Retries naiveRetries = retriesBefore;
+    for (Cycle c = from; c < to; ++c) {
         ++naive[static_cast<unsigned>(classifyStall(c).cat)];
+        LsuBlock block = retryBlock(mrqWasFull);
+        MTP_ASSERT(block == lsuBlock_,
+                   "a parked LSU retry would not fail as recorded");
+        if (block == LsuBlock::None)
+            continue;
+        naiveRetries.pcMisses += load ? 1 : 0;
+        if (block == LsuBlock::MshrFull)
+            ++naiveRetries.mshrFull;
+        else if (load)
+            ++naiveRetries.mrqGated;
+        else
+            ++naiveRetries.mrqFull;
+    }
     for (unsigned k = 0; k < numCycleCats; ++k)
         MTP_ASSERT(cycleCat_[k] - before[k] == naive[k],
                    "bulk attribution diverges from per-cycle "
                    "classification for category ",
                    cycleCatName(static_cast<CycleCat>(k)));
+    MTP_ASSERT(retries() == naiveRetries,
+               "bulk retry counters diverge from per-cycle retries");
 #endif
 }
 

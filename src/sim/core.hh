@@ -88,14 +88,26 @@ class Core
     /**
      * Earliest cycle >= @p now at which this core might change state on
      * its own: issue an instruction (execution unit free and an
-     * issuable warp ready), or run an observable periodic update. A
-     * pending LSU operation pins the bound to @p now (stalled LSUs
-     * retry — and count MSHR-full stalls — every cycle). Memory
-     * completions wake the core separately (MemSystem::deliveredCores()).
-     * Never later than the true next state change (the event-horizon
+     * issuable warp ready), or run an observable periodic update. An
+     * LSU operation that moved (or has not yet tried) in the last tick
+     * pins the bound to @p now. A blocked one does not: its retry fails
+     * the same way every cycle until a completion
+     * (MemSystem::deliveredCores()) or a pop of its full MRQ
+     * (MemSystem::mrqFreedCores()) wakes the core, and meanwhile only
+     * warps whose next instruction bypasses the LSU can issue. Never
+     * later than the true next state change (the event-horizon
      * contract).
      */
     Cycle nextEventAt(Cycle now) const;
+
+    /**
+     * @return true unless the LSU is blocked and its head retry, run
+     * now without side effects, would no longer fail the way the last
+     * tick recorded: the head transaction is still in neither the
+     * prefetch cache nor the MSHR, and the same structure is still
+     * full. The slow check on parked cores.
+     */
+    bool lsuBlockHolds() const;
 
     /** Peak concurrently-resident warps seen so far. */
     unsigned maxActiveWarps() const { return maxActiveWarps_; }
@@ -103,12 +115,17 @@ class Core
     /**
      * Bulk-attribute the skipped window [@p from, @p to) to cycle
      * categories. Valid only for a window the event horizon skipped:
-     * the LSU is idle, the core state is frozen, and nextEventAt(from)
-     * >= @p to — so the window splits analytically into an exec-busy
-     * span followed by an operand/branch wait on the earliest-ready
-     * issuable warp (or is wholly idle / memory-stalled). Under
-     * MTP_SLOW_CHECKS the result is cross-checked against the naive
-     * per-cycle classifier.
+     * the core state is frozen and nextEventAt(from) >= @p to. With a
+     * blocked LSU every cycle of the window repeats the last tick's
+     * failed retry: one StallMshrFull or StallIcnt cycle each, plus
+     * the counters that retry bumps (the MSHR's fullStalls, or the
+     * MRQ's gatedStalls for a load and fullStalls for a store, and a
+     * prefetch-cache demand miss for a load). Otherwise the LSU is
+     * idle and the window splits into an exec-busy span followed by an
+     * operand/branch wait on the earliest-ready issuable warp (or is
+     * wholly idle / memory-stalled). Under MTP_SLOW_CHECKS the
+     * categories and the retry counters are cross-checked against the
+     * naive per-cycle classifier and retry.
      */
     void accountSkip(Cycle from, Cycle to);
 
@@ -182,7 +199,8 @@ class Core
     /** Periodic throttle / feedback updates. */
     void periodUpdate(Cycle now);
 
-    /** Why the LSU made no progress this cycle (reset every tick). */
+    /** Why the LSU made no progress in the last tick (reset every
+     *  tick, so it holds across a parked window). */
     enum class LsuBlock : std::uint8_t
     {
         None,     //!< not blocked (or no pending op)
@@ -201,11 +219,37 @@ class Core
     /**
      * Classify a cycle that issued nothing, from end-of-tick state.
      * Also the naive per-cycle oracle for accountSkip(): during a
-     * skipped window the LSU is idle and lsuBlock_ is None, so the
-     * same decision tree applies with only the time-dependent terms
-     * (execBusyUntil_, readyAt) varying across the window.
+     * skipped window lsuBlock_ keeps the last tick's value (a parked
+     * blocked LSU fails the same way each cycle; an idle one leaves
+     * it None), so the same decision tree applies with only the
+     * time-dependent terms (execBusyUntil_, readyAt) varying across
+     * the window.
      */
     StallClass classifyStall(Cycle now) const;
+
+    /**
+     * The block reason processLsu() would record for the head
+     * transaction if it retried now, evaluated without side effects
+     * (None if it would move). @p mrqFull is the MRQ's fullness as the
+     * core phase of the cycle in question saw it.
+     */
+    LsuBlock retryBlock(bool mrqFull) const;
+
+    /** @return true iff @p inst goes through the LSU when issued. */
+    bool usesLsu(const StaticInst &inst) const
+    {
+        return isMemOp(inst.op) && !cfg_.perfectMemory;
+    }
+
+    /**
+     * The warps issue() may pick from: a busy LSU refuses every memory
+     * instruction (the structural hazard), so then only the warps that
+     * bypass it.
+     */
+    const DynBitset &issueCandidates() const
+    {
+        return lsu_.valid ? aluIssuable_ : issuable_;
+    }
 
     /** Attribute the cycle just simulated to exactly one category. */
     void accountCycle(Cycle now, bool issued);
@@ -227,11 +271,13 @@ class Core
      * Incremental scheduler state. The bitsets cache per-warp
      * predicates that depend only on warp-local state (scoreboard +
      * cursor), so issue() and retireWarps() visit only plausible
-     * candidates and idle()/activeWarps() are O(1). Time (readyAt) and
-     * structural (LSU) hazards are cheap and stay checked at visit.
+     * candidates and idle()/activeWarps() are O(1). The LSU
+     * structural hazard picks the bitset (issueCandidates()); the time
+     * (readyAt) hazard is cheap and stays checked at visit.
      */
     unsigned activeWarpCount_ = 0;
     DynBitset issuable_;  //!< active, not done, scoreboard permits issue
+    DynBitset aluIssuable_; //!< issuable, next inst bypasses the LSU
     DynBitset retirable_; //!< finished program and drained
     DynBitset freeBlockSlots_; //!< block slots with no resident warps
     bool periodObservable_ = false; //!< periodUpdate() mutates state

@@ -367,11 +367,13 @@ Gpu::runQueued()
 #if MTP_SLOW_CHECKS
         // Parked components must be provably non-actionable: ticking
         // them would be a no-op, which is exactly why the queued loop
-        // may leave them unticked.
+        // may leave them unticked. A parked blocked LSU's retry is
+        // re-run without side effects: it must still fail as recorded.
         for (CoreId c = 0; c < n; ++c) {
             if (queue_.key(c) > t)
                 MTP_ASSERT(cores_[c]->nextEventAt(t) > t &&
-                               mem_->completions(c).empty(),
+                               mem_->completions(c).empty() &&
+                               cores_[c]->lsuBlockHolds(),
                            "parked core ", c, " is actionable at ", t);
         }
         if (queue_.key(memId) > t)
@@ -408,8 +410,8 @@ Gpu::runQueued()
                 queue_.notePop();
                 Core &core = *cores_[c];
                 // Settle the parked window first: accountSkip() gives its
-                // cycles the stall attribution their no-op ticks would
-                // have recorded.
+                // cycles the stall attribution (and a blocked LSU's
+                // retry counters) their ticks would have recorded.
                 if (coreSettledTo_[c] < t)
                     core.accountSkip(coreSettledTo_[c], t);
                 bool was_busy = !core.idle();
@@ -436,6 +438,8 @@ Gpu::runQueued()
             queue_.notePop();
             mem_->tickQueued(t);
             for (CoreId c : mem_->deliveredCores())
+                queue_.armEarlier(c, t + 1);
+            for (CoreId c : mem_->mrqFreedCores())
                 queue_.armEarlier(c, t + 1);
             queue_.arm(memId, mem_->nextSelfEventAt(t + 1));
         }

@@ -5,7 +5,8 @@
  * false) and the event-queue schedule (fastForward = true, the
  * default) — must be bit-identical in every RunResult field and the
  * full statistics dump, across kernels, prefetcher configurations,
- * throttling, and the scheduler/dispatch ablations. Also
+ * throttling, the scheduler/dispatch ablations and MSHR/MRQ budgets
+ * tight enough to block the LSU. Also
  * regression-tests the O(1) done() counters against the exhaustive
  * scan at every step.
  */
@@ -103,6 +104,30 @@ goldenKernels()
     return kernels;
 }
 
+/**
+ * Configs whose tight MSHR or MRQ blocks the LSU for long stretches,
+ * so the matrix covers the queued loop parking a blocked LSU.
+ */
+std::vector<std::pair<std::string, SimConfig>>
+blockingConfigs()
+{
+    std::vector<std::pair<std::string, SimConfig>> configs;
+
+    SimConfig mshr = test::tinyConfig();
+    mshr.mshrEntries = 2;
+    configs.emplace_back("mshr2", mshr);
+
+    SimConfig mrq = test::tinyConfig();
+    mrq.mrqEntries = 1;
+    mrq.memBufEntries = 2;
+    mrq.hwPref = HwPrefKind::MTHWP;
+    mrq.throttleEnable = true;
+    mrq.throttlePeriod = 500;
+    configs.emplace_back("mrq1_mthwp_throttle", mrq);
+
+    return configs;
+}
+
 std::vector<std::pair<std::string, SimConfig>>
 goldenConfigs()
 {
@@ -141,26 +166,67 @@ goldenConfigs()
     perfect.perfectMemory = true;
     configs.emplace_back("perfect_memory", perfect);
 
+    for (auto &entry : blockingConfigs())
+        configs.push_back(std::move(entry));
     return configs;
+}
+
+/** Sum of stat `<prefix><core>.<suffix>` over @p r's cores. */
+double
+sumOverCores(const RunResult &r, const std::string &prefix,
+             const std::string &suffix)
+{
+    double sum = 0.0;
+    for (unsigned c = 0; c < r.stats.get("sim.numCores"); ++c)
+        sum += r.stats.get(prefix + std::to_string(c) + "." + suffix);
+    return sum;
 }
 
 /**
  * The full golden matrix: every kernel under every configuration must
  * produce byte-identical results in both scheduler modes — the naive
- * oracle and the event-queue schedule.
+ * oracle and the event-queue schedule. The matrix must also reach
+ * every way the LSU blocks: a load on a full MSHR, a load on a full
+ * MRQ and a store on a full MRQ.
  */
 TEST(FastForwardGolden, MatrixIdentical)
 {
+    double mshrFull = 0.0, mrqGated = 0.0, mrqFull = 0.0;
     for (const auto &[cname, cfg] : goldenConfigs()) {
         for (const auto &[kname, kernel] : goldenKernels()) {
             SimConfig naive = cfg;
             naive.fastForward = false;
             SimConfig queued = cfg;
             queued.fastForward = true;
-            expectBitIdentical(simulate(queued, kernel),
-                               simulate(naive, kernel),
+            RunResult oracle = simulate(naive, kernel);
+            expectBitIdentical(simulate(queued, kernel), oracle,
                                cname + "/" + kname);
+            mshrFull += sumOverCores(oracle, "core", "mshr.fullStalls");
+            mrqGated += sumOverCores(oracle, "mem.core", "mrq.gatedStalls");
+            mrqFull += sumOverCores(oracle, "mem.core", "mrq.fullStalls");
         }
+    }
+    EXPECT_GT(mshrFull, 0.0) << "no load blocked on a full MSHR";
+    EXPECT_GT(mrqGated, 0.0) << "no load blocked on a full MRQ";
+    EXPECT_GT(mrqFull, 0.0) << "no store blocked on a full MRQ";
+}
+
+/**
+ * A blocked LSU parks: the queued loop ticks a core stalled on a full
+ * MSHR or MRQ when a completion or an MRQ pop can unblock it, not on
+ * every cycle of the stall. Tick counts are exact, so the bound is
+ * deterministic.
+ */
+TEST(FastForwardGolden, BlockedLsuParks)
+{
+    for (const auto &[cname, cfg] : blockingConfigs()) {
+        double ticks = 0.0, coreCycles = 0.0;
+        for (const auto &[kname, kernel] : goldenKernels()) {
+            RunResult r = simulate(cfg, kernel);
+            ticks += r.sched.get("sim.sched.coreTicks");
+            coreCycles += static_cast<double>(r.cycles) * cfg.numCores;
+        }
+        EXPECT_LE(ticks, coreCycles / 4) << cname;
     }
 }
 
