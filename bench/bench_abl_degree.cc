@@ -15,20 +15,15 @@ namespace {
 FigureResult
 run(Runner &runner, const Options &opts)
 {
-    auto names = selectBenchmarks(opts, sweepSubset());
     const unsigned degrees[] = {1, 2, 3, 4};
-
-    // Submit the whole degree sweep up front so the runs overlap.
-    for (const auto &name : names) {
-        Workload w = Suite::get(name, opts.scaleDiv);
-        runner.submitBaseline(w);
-        for (unsigned d : degrees) {
-            SimConfig cfg = baseConfig(opts);
-            cfg.hwPref = HwPrefKind::MTHWP;
-            cfg.prefDegree = d;
-            runner.submit(cfg, w.kernel);
-        }
+    std::vector<RunMatrix::Column> cols;
+    for (unsigned d : degrees) {
+        SimConfig cfg = baseConfig(opts);
+        cfg.hwPref = HwPrefKind::MTHWP;
+        cfg.prefDegree = d;
+        cols.push_back({"deg" + std::to_string(d), cfg});
     }
+    RunMatrix m(runner, opts, sweepSubset(), cols);
 
     FigureResult out;
     Table t;
@@ -38,27 +33,17 @@ run(Runner &runner, const Options &opts)
         t.columns.push_back("deg" + std::to_string(d));
         t.columns.push_back("early" + std::to_string(d));
     }
-    std::vector<std::vector<double>> per_degree(4);
-    for (const auto &name : names) {
-        Workload w = Suite::get(name, opts.scaleDiv);
-        const RunResult &base = runner.baseline(w);
-        std::vector<Cell> row = {Cell::str(name)};
-        for (unsigned i = 0; i < 4; ++i) {
-            SimConfig cfg = baseConfig(opts);
-            cfg.hwPref = HwPrefKind::MTHWP;
-            cfg.prefDegree = degrees[i];
-            const RunResult &r = runner.run(cfg, w.kernel);
-            double spd = static_cast<double>(base.cycles) / r.cycles;
-            per_degree[i].push_back(spd);
-            row.push_back(Cell::number(spd));
-            row.push_back(Cell::number(r.earlyRatio()));
+    for (std::size_t b = 0; b < m.size(); ++b) {
+        std::vector<Cell> row = {Cell::str(m.workload(b).info.name)};
+        for (std::size_t c = 0; c < cols.size(); ++c) {
+            row.push_back(Cell::number(m.speedup(b, c)));
+            row.push_back(Cell::number(m.run(b, c).earlyRatio()));
         }
         t.addRow(std::move(row));
     }
     out.tables.push_back(std::move(t));
-    for (unsigned i = 0; i < 4; ++i)
-        out.metric("geomean.deg" + std::to_string(degrees[i]),
-                   geomean(per_degree[i]));
+    for (std::size_t c = 0; c < cols.size(); ++c)
+        out.metric("geomean." + cols[c].name, geomean(m.speedups(c)));
     out.notes.push_back("extra requests per trigger mostly turn into "
                         "early evictions at a 16 KB prefetch cache — "
                         "degree 1 stays the default");

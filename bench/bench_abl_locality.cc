@@ -13,6 +13,8 @@
  * core" (Sec. III-A2).
  */
 
+#include <array>
+
 #include "bench/harnesses.hh"
 
 namespace mtp {
@@ -28,17 +30,23 @@ run(Runner &runner, const Options &opts)
                                          "sepia"};
     auto names = selectBenchmarks(opts, fallback);
 
-    // Submit the whole matrix up front so the runs overlap.
+    // Per benchmark and mode: the mode's own baseline, then MT-HWP.
+    struct Runs
+    {
+        std::shared_future<RunResult> base, hwp;
+    };
+    std::vector<std::array<Runs, 3>> runs; //!< [benchmark][mode]
     for (const auto &name : names) {
         Workload w = Suite::get(name, opts.scaleDiv);
+        auto &modes = runs.emplace_back();
         for (unsigned i = 0; i < 3; ++i) {
             SimConfig base_cfg = baseConfig(opts);
             base_cfg.dispatchContiguous = i != 1;
             base_cfg.schedGreedy = i != 2;
-            runner.submit(base_cfg, w.kernel);
             SimConfig cfg = base_cfg;
             cfg.hwPref = HwPrefKind::MTHWP;
-            runner.submit(cfg, w.kernel);
+            modes[i].base = runner.submit(base_cfg, w.kernel);
+            modes[i].hwp = runner.submit(cfg, w.kernel);
         }
     }
 
@@ -47,18 +55,12 @@ run(Runner &runner, const Options &opts)
     t.name = "locality";
     t.columns = {"bench", "contig", "rr-blocks", "rr-warps"};
     std::vector<double> g[3];
-    for (const auto &name : names) {
-        Workload w = Suite::get(name, opts.scaleDiv);
-        std::vector<Cell> row = {Cell::str(name)};
+    for (std::size_t b = 0; b < names.size(); ++b) {
+        std::vector<Cell> row = {Cell::str(names[b])};
         for (unsigned i = 0; i < 3; ++i) {
-            SimConfig base_cfg = baseConfig(opts);
-            base_cfg.dispatchContiguous = i != 1;
-            base_cfg.schedGreedy = i != 2;
-            const RunResult &base = runner.run(base_cfg, w.kernel);
-            SimConfig cfg = base_cfg;
-            cfg.hwPref = HwPrefKind::MTHWP;
-            const RunResult &r = runner.run(cfg, w.kernel);
-            double spd = static_cast<double>(base.cycles) / r.cycles;
+            const Runs &r = runs[b][i];
+            double spd = static_cast<double>(r.base.get().cycles) /
+                         r.hwp.get().cycles;
             g[i].push_back(spd);
             row.push_back(Cell::number(spd));
         }

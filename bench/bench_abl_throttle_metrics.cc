@@ -12,61 +12,28 @@ namespace mtp {
 namespace bench {
 namespace {
 
-SimConfig
-configFor(const Options &opts, unsigned i)
-{
-    SimConfig cfg = baseConfig(opts);
-    cfg.hwPref = HwPrefKind::MTHWP;
-    cfg.throttleEnable = i != 0;
-    if (i == 2) {
-        // Early-eviction rule only: merge always reads high.
-        cfg.mergeHigh = -1.0;
-    } else if (i == 3) {
-        // Merge rule only: early rate never trips its bands.
-        cfg.earlyEvictLow = 1e18;
-        cfg.earlyEvictHigh = 1e19;
-    }
-    return cfg;
-}
-
 FigureResult
 run(Runner &runner, const Options &opts)
 {
-    auto names = selectBenchmarks(opts, Suite::memoryIntensiveNames());
-    // Submit the whole matrix up front so the runs overlap.
-    for (const auto &name : names) {
-        Workload w = Suite::get(name, opts.scaleDiv);
-        runner.submitBaseline(w);
-        for (unsigned i = 0; i < 4; ++i)
-            runner.submit(configFor(opts, i), w.kernel);
-    }
+    SimConfig none = baseConfig(opts);
+    none.hwPref = HwPrefKind::MTHWP;
+    SimConfig both = none;
+    both.throttleEnable = true;
+    // Early-eviction rule only: merge always reads high.
+    SimConfig earlyOnly = both;
+    earlyOnly.mergeHigh = -1.0;
+    // Merge rule only: early rate never trips its bands.
+    SimConfig mergeOnly = both;
+    mergeOnly.earlyEvictLow = 1e18;
+    mergeOnly.earlyEvictHigh = 1e19;
+    RunMatrix m(runner, opts, Suite::memoryIntensiveNames(),
+                {{"no-throt", none},
+                 {"both", both},
+                 {"earlyOnly", earlyOnly},
+                 {"mergeOnly", mergeOnly}});
 
     FigureResult out;
-    Table t;
-    t.name = "throttle-metrics";
-    t.columns = {"bench", "no-throt", "both", "earlyOnly", "mergeOnly"};
-    std::vector<double> g[4];
-    for (const auto &name : names) {
-        Workload w = Suite::get(name, opts.scaleDiv);
-        const RunResult &base = runner.baseline(w);
-        std::vector<Cell> row = {Cell::str(name)};
-        for (unsigned i = 0; i < 4; ++i) {
-            const RunResult &r =
-                runner.run(configFor(opts, i), w.kernel);
-            double spd = static_cast<double>(base.cycles) / r.cycles;
-            g[i].push_back(spd);
-            row.push_back(Cell::number(spd));
-        }
-        t.addRow(std::move(row));
-    }
-    t.addRow({Cell::str("geomean"), Cell::number(geomean(g[0])),
-              Cell::number(geomean(g[1])), Cell::number(geomean(g[2])),
-              Cell::number(geomean(g[3]))});
-    out.tables.push_back(std::move(t));
-    out.metric("geomean.no-throt", geomean(g[0]));
-    out.metric("geomean.both", geomean(g[1]));
-    out.metric("geomean.earlyOnly", geomean(g[2]));
-    out.metric("geomean.mergeOnly", geomean(g[3]));
+    m.speedupTable(out, "throttle-metrics", false);
     out.notes.push_back("the early-eviction rate is the primary signal "
                         "(Sec. V-A); the merge ratio alone cannot "
                         "identify harmful prefetching, it only "

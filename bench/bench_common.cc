@@ -24,10 +24,7 @@ parseArgs(int argc, char **argv, const std::vector<cli::Flag> &extra,
         {"--scale", "N", "grid divisor (default 8); scales the throttle period",
          [&](const cli::Arg &a) { opts.setScale(a.number(1u)); }},
         {"--bench", "LIST", "benchmarks to run (comma list)",
-         [&](const cli::Arg &a) {
-             for (std::string &name : a.list())
-                 opts.benchmarks.push_back(std::move(name));
-         }},
+         [&](const cli::Arg &a) { opts.benchmarks = a.list(); }},
         {"--jobs", "N", "parallel simulations (default: all cores)",
          [&](const cli::Arg &a) { opts.jobs = a.number(1u); }},
         {"--sample-period", "N", "sample time-series probes every N cycles",
@@ -126,17 +123,21 @@ baseConfig(const Options &opts)
     return cfg;
 }
 
+void
+checkBenchmarks(const std::vector<std::string> &names)
+{
+    for (const std::string &n : names)
+        if (!Suite::has(n))
+            cli::fail("unknown benchmark '" + n +
+                      "' (mtp-sim --list prints them)");
+}
+
 std::vector<std::string>
 selectBenchmarks(const Options &opts,
                  const std::vector<std::string> &fallback)
 {
-    if (opts.benchmarks.empty())
-        return fallback;
-    for (const auto &n : opts.benchmarks) {
-        if (!Suite::has(n))
-            MTP_FATAL("unknown benchmark '", n, "'");
-    }
-    return opts.benchmarks;
+    checkBenchmarks(opts.benchmarks);
+    return opts.benchmarks.empty() ? fallback : opts.benchmarks;
 }
 
 const std::vector<std::string> &
@@ -150,19 +151,20 @@ sweepSubset()
     return subset;
 }
 
-void
-Runner::recordFingerprint(const SimConfig &cfg, const KernelDesc &kernel)
+std::vector<std::string>
+Runner::fingerprints(std::size_t from) const
 {
-    driver::Fingerprint fp = driver::fingerprint(cfg, kernel);
-    driver::Fnv1a cfgHash;
-    cfgHash.add(fp.config);
-    char tag[64];
-    std::snprintf(tag, sizeof(tag), ":%016llx:%016llx",
-                  static_cast<unsigned long long>(cfgHash.value()),
-                  static_cast<unsigned long long>(fp.kernelHash));
-    std::string key = fp.kernelName + tag;
-    if (fpSeen_.insert(key).second)
-        fps_.push_back(std::move(key));
+    std::vector<std::string> tags;
+    for (const driver::Fingerprint &fp : cache_.entries(from)) {
+        driver::Fnv1a cfgHash;
+        cfgHash.add(fp.config);
+        char tag[64];
+        std::snprintf(tag, sizeof(tag), ":%016llx:%016llx",
+                      static_cast<unsigned long long>(cfgHash.value()),
+                      static_cast<unsigned long long>(fp.kernelHash));
+        tags.push_back(fp.kernelName + tag);
+    }
+    return tags;
 }
 
 double

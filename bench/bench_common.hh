@@ -17,9 +17,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <future>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/cli.hh"
@@ -95,7 +95,11 @@ StatSet hostCounters(const driver::RunCache &cache,
 /** Table II baseline with the scaled throttle period + overrides. */
 SimConfig baseConfig(const Options &opts);
 
-/** Names to run: the subset filter or @p fallback. */
+/** Exit with one fatal: line naming the first of @p names that is not
+ *  a suite benchmark. */
+void checkBenchmarks(const std::vector<std::string> &names);
+
+/** Names to run: the subset filter (checked) or @p fallback. */
 std::vector<std::string> selectBenchmarks(
     const Options &opts, const std::vector<std::string> &fallback);
 
@@ -110,52 +114,29 @@ double geomean(const std::vector<double> &values);
  *
  * Backed by the driver's work-stealing executor and its thread-safe
  * RunCache (keyed by the full config dump plus a content hash of the
- * kernel's instruction stream — see src/driver/fingerprint.hh).
- * Within one harness the same baseline run backs several columns, and
- * duplicate submissions cost nothing.
+ * kernel's instruction stream — see src/driver/fingerprint.hh), so a
+ * run shared by several figures of one campaign simulates once.
  *
- * Harnesses submit their entire run matrix up front (submit() /
- * submitBaseline()), then print in their natural order with run() /
- * baseline(), which block per result. Printing happens on the main
- * thread in submission order, so the output is deterministic and
- * byte-identical for every --jobs value.
+ * A harness declares each run once: submit() schedules it and returns
+ * its handle, and the harness reads the handles after its whole matrix
+ * is submitted (RunMatrix in bench/campaign.hh does both for the
+ * benchmark x column figures). Reading happens on the main thread in
+ * submission order, so the output is deterministic and byte-identical
+ * for every --jobs value.
  */
 class Runner
 {
   public:
-    explicit Runner(const Options &opts)
-        : opts_(opts), exec_(opts.jobs), cache_(exec_)
+    explicit Runner(const Options &opts) : exec_(opts.jobs), cache_(exec_)
     {
     }
 
-    /** Schedule a simulation without waiting for it. */
-    void
+    /** Schedule a simulation without waiting for it; get() on the
+     *  handle blocks until its result is ready. */
+    std::shared_future<RunResult>
     submit(const SimConfig &cfg, const KernelDesc &kernel)
     {
-        recordFingerprint(cfg, kernel);
-        cache_.submit(cfg, kernel, obsDefaults_);
-    }
-
-    /** Schedule a workload's no-prefetching baseline run. */
-    void
-    submitBaseline(const Workload &w)
-    {
-        submit(baseConfig(opts_), w.kernel);
-    }
-
-    /** Run (or reuse) a simulation of @p kernel under @p cfg. */
-    const RunResult &
-    run(const SimConfig &cfg, const KernelDesc &kernel)
-    {
-        recordFingerprint(cfg, kernel);
-        return cache_.result(cfg, kernel, obsDefaults_);
-    }
-
-    /** Baseline (no prefetching) run of a workload's kernel. */
-    const RunResult &
-    baseline(const Workload &w)
-    {
-        return run(baseConfig(opts_), w.kernel);
+        return cache_.submit(cfg, kernel, obsDefaults_);
     }
 
     /** Worker threads actually in use. */
@@ -187,21 +168,16 @@ class Runner
     StatSet hostCounters() const { return bench::hostCounters(cache_, exec_); }
 
     /**
-     * Fingerprint tag of every distinct run submitted, in
-     * first-submission order: "<kernel>:<config hash>:<kernel hash>".
+     * Fingerprint tag of every distinct run from the @p from-th on, in
+     * the order the runs were first submitted:
+     * "<kernel>:<config hash>:<kernel hash>".
      */
-    const std::vector<std::string> &fingerprints() const { return fps_; }
+    std::vector<std::string> fingerprints(std::size_t from) const;
 
   private:
-    void recordFingerprint(const SimConfig &cfg,
-                           const KernelDesc &kernel);
-
-    Options opts_;
     driver::ParallelExecutor exec_;
     driver::RunCache cache_;
     obs::ObsConfig obsDefaults_;
-    std::vector<std::string> fps_;
-    std::unordered_set<std::string> fpSeen_;
 };
 
 } // namespace bench

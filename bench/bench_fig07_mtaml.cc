@@ -28,8 +28,9 @@ run(Runner &runner, const Options &opts)
     struct Point
     {
         unsigned warps;
-        KernelDesc base;
-        KernelDesc pref;
+        KernelDesc kernel;
+        std::shared_future<RunResult> base;
+        std::shared_future<RunResult> pref;
     };
     std::vector<Point> points;
     for (unsigned warps = 2; warps <= 16; warps += 2) {
@@ -41,11 +42,10 @@ run(Runner &runner, const Options &opts)
             std::max<std::uint64_t>(14, k.numBlocks * 8 / warps);
         k.maxBlocksPerCore = 1;
         k.finalize();
-        KernelDesc pref_kernel =
-            applySwPrefetch(k, SwPrefKind::Stride, w.info.swpOpts);
-        runner.submit(cfg, k);
-        runner.submit(cfg, pref_kernel);
-        points.push_back({warps, std::move(k), std::move(pref_kernel)});
+        auto base = runner.submit(cfg, k);
+        auto pref = runner.submit(
+            cfg, applySwPrefetch(k, SwPrefKind::Stride, w.info.swpOpts));
+        points.push_back({warps, std::move(k), base, pref});
     }
 
     FigureResult out;
@@ -56,13 +56,13 @@ run(Runner &runner, const Options &opts)
                  "effect",       "agrees"};
     unsigned agreeCount = 0;
     for (const Point &p : points) {
-        const RunResult &base = runner.run(cfg, p.base);
-        const RunResult &pref = runner.run(cfg, p.pref);
+        const RunResult &base = p.base.get();
+        const RunResult &pref = p.pref.get();
 
         MtamlInputs in;
-        in.compInsts = static_cast<double>(p.base.warpInstsPerWarp() -
-                                           p.base.memInstsPerWarp());
-        in.memInsts = static_cast<double>(p.base.memInstsPerWarp());
+        in.compInsts = static_cast<double>(p.kernel.warpInstsPerWarp() -
+                                           p.kernel.memInstsPerWarp());
+        in.memInsts = static_cast<double>(p.kernel.memInstsPerWarp());
         in.activeWarps = p.warps;
         in.prefHitProb = pref.prefCoverage();
 

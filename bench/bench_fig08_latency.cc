@@ -15,14 +15,8 @@ namespace {
 FigureResult
 run(Runner &runner, const Options &opts)
 {
-    auto names = selectBenchmarks(opts, Suite::memoryIntensiveNames());
-    // Submit the whole matrix up front so the runs overlap.
-    for (const auto &name : names) {
-        Workload w = Suite::get(name, opts.scaleDiv);
-        runner.submitBaseline(w);
-        runner.submit(baseConfig(opts),
-                      w.variant(SwPrefKind::StrideIP));
-    }
+    RunMatrix m(runner, opts, Suite::memoryIntensiveNames(),
+                {{"mtswp", baseConfig(opts), SwPrefKind::StrideIP}});
 
     FigureResult out;
     Table t;
@@ -30,17 +24,16 @@ run(Runner &runner, const Options &opts)
     t.columns = {"bench",   "type",    "lat.base",
                  "lat.pref", "normLat", "accuracy%"};
     std::vector<double> norms;
-    for (const auto &name : names) {
-        Workload w = Suite::get(name, opts.scaleDiv);
-        const RunResult &base = runner.baseline(w);
-        const RunResult &pref = runner.run(
-            baseConfig(opts), w.variant(SwPrefKind::StrideIP));
+    for (std::size_t b = 0; b < m.size(); ++b) {
+        const WorkloadInfo &info = m.workload(b).info;
+        const RunResult &base = m.baseline(b);
+        const RunResult &pref = m.run(b, 0);
         double norm = base.avgDemandLatency > 0
                           ? pref.avgDemandLatency /
                                 base.avgDemandLatency
                           : 0.0;
         norms.push_back(norm);
-        t.addRow({Cell::str(name), Cell::str(toString(w.info.type)),
+        t.addRow({Cell::str(info.name), Cell::str(toString(info.type)),
                   Cell::number(base.avgDemandLatency, 1),
                   Cell::number(pref.avgDemandLatency, 1),
                   Cell::number(norm),

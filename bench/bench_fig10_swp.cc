@@ -15,53 +15,15 @@ namespace {
 FigureResult
 run(Runner &runner, const Options &opts)
 {
-    auto names = selectBenchmarks(opts, Suite::memoryIntensiveNames());
-    // Submit the whole matrix up front so the runs overlap.
-    for (const auto &name : names) {
-        Workload w = Suite::get(name, opts.scaleDiv);
-        runner.submitBaseline(w);
-        SimConfig cfg = baseConfig(opts);
-        for (SwPrefKind kind :
-             {SwPrefKind::Register, SwPrefKind::Stride, SwPrefKind::IP,
-              SwPrefKind::StrideIP})
-            runner.submit(cfg, w.variant(kind));
-    }
+    SimConfig cfg = baseConfig(opts);
+    RunMatrix m(runner, opts, Suite::memoryIntensiveNames(),
+                {{"register", cfg, SwPrefKind::Register},
+                 {"stride", cfg, SwPrefKind::Stride},
+                 {"ip", cfg, SwPrefKind::IP},
+                 {"stride+ip", cfg, SwPrefKind::StrideIP}});
 
     FigureResult out;
-    Table t;
-    t.name = "speedups";
-    t.columns = {"bench", "type",     "register",
-                 "stride", "ip",      "stride+ip"};
-    std::vector<double> g_reg, g_str, g_ip, g_sip;
-    for (const auto &name : names) {
-        Workload w = Suite::get(name, opts.scaleDiv);
-        const RunResult &base = runner.baseline(w);
-        SimConfig cfg = baseConfig(opts);
-        auto speedup = [&](SwPrefKind kind) {
-            const RunResult &r = runner.run(cfg, w.variant(kind));
-            return static_cast<double>(base.cycles) / r.cycles;
-        };
-        double reg = speedup(SwPrefKind::Register);
-        double str = speedup(SwPrefKind::Stride);
-        double ip = speedup(SwPrefKind::IP);
-        double sip = speedup(SwPrefKind::StrideIP);
-        g_reg.push_back(reg);
-        g_str.push_back(str);
-        g_ip.push_back(ip);
-        g_sip.push_back(sip);
-        t.addRow({Cell::str(name), Cell::str(toString(w.info.type)),
-                  Cell::number(reg), Cell::number(str),
-                  Cell::number(ip), Cell::number(sip)});
-    }
-    t.addRow({Cell::str("geomean"), Cell::str(""),
-              Cell::number(geomean(g_reg)), Cell::number(geomean(g_str)),
-              Cell::number(geomean(g_ip)),
-              Cell::number(geomean(g_sip))});
-    out.tables.push_back(std::move(t));
-    out.metric("geomean.register", geomean(g_reg));
-    out.metric("geomean.stride", geomean(g_str));
-    out.metric("geomean.ip", geomean(g_ip));
-    out.metric("geomean.stride+ip", geomean(g_sip));
+    m.speedupTable(out, "speedups", true);
     out.notes.push_back("paper: stride beats register except on "
                         "stream; IP lifts mp/uncoal (backprop, bfs, "
                         "linear, sepia) but degrades ocean; static "

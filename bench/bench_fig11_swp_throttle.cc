@@ -14,57 +14,17 @@ namespace {
 FigureResult
 run(Runner &runner, const Options &opts)
 {
-    auto names = selectBenchmarks(opts, Suite::memoryIntensiveNames());
-    // Submit the whole matrix up front so the runs overlap.
-    for (const auto &name : names) {
-        Workload w = Suite::get(name, opts.scaleDiv);
-        runner.submitBaseline(w);
-        SimConfig cfg = baseConfig(opts);
-        SimConfig thr = cfg;
-        thr.throttleEnable = true;
-        runner.submit(cfg, w.variant(SwPrefKind::Register));
-        runner.submit(cfg, w.variant(SwPrefKind::Stride));
-        runner.submit(cfg, w.variant(SwPrefKind::StrideIP));
-        runner.submit(thr, w.variant(SwPrefKind::StrideIP));
-    }
+    SimConfig cfg = baseConfig(opts);
+    SimConfig thr = cfg;
+    thr.throttleEnable = true;
+    RunMatrix m(runner, opts, Suite::memoryIntensiveNames(),
+                {{"register", cfg, SwPrefKind::Register},
+                 {"stride", cfg, SwPrefKind::Stride},
+                 {"mtswp", cfg, SwPrefKind::StrideIP},
+                 {"mtswp+T", thr, SwPrefKind::StrideIP}});
 
     FigureResult out;
-    Table t;
-    t.name = "speedups";
-    t.columns = {"bench", "type", "register", "stride", "mtswp",
-                 "mtswp+T"};
-    std::vector<double> g_reg, g_str, g_swp, g_thr;
-    for (const auto &name : names) {
-        Workload w = Suite::get(name, opts.scaleDiv);
-        const RunResult &base = runner.baseline(w);
-        SimConfig cfg = baseConfig(opts);
-        SimConfig thr = cfg;
-        thr.throttleEnable = true;
-        auto speedup = [&](const SimConfig &c, SwPrefKind kind) {
-            const RunResult &r = runner.run(c, w.variant(kind));
-            return static_cast<double>(base.cycles) / r.cycles;
-        };
-        double reg = speedup(cfg, SwPrefKind::Register);
-        double str = speedup(cfg, SwPrefKind::Stride);
-        double swp = speedup(cfg, SwPrefKind::StrideIP);
-        double swpt = speedup(thr, SwPrefKind::StrideIP);
-        g_reg.push_back(reg);
-        g_str.push_back(str);
-        g_swp.push_back(swp);
-        g_thr.push_back(swpt);
-        t.addRow({Cell::str(name), Cell::str(toString(w.info.type)),
-                  Cell::number(reg), Cell::number(str),
-                  Cell::number(swp), Cell::number(swpt)});
-    }
-    t.addRow({Cell::str("geomean"), Cell::str(""),
-              Cell::number(geomean(g_reg)), Cell::number(geomean(g_str)),
-              Cell::number(geomean(g_swp)),
-              Cell::number(geomean(g_thr))});
-    out.tables.push_back(std::move(t));
-    out.metric("geomean.register", geomean(g_reg));
-    out.metric("geomean.stride", geomean(g_str));
-    out.metric("geomean.mtswp", geomean(g_swp));
-    out.metric("geomean.mtswp+T", geomean(g_thr));
+    m.speedupTable(out, "speedups", true);
     out.notes.push_back("paper: throttling rescues stream/cell/cfd "
                         "(late or early prefetch floods) while leaving "
                         "winners alone; MT-SWP+T is +16% over stride, "

@@ -15,33 +15,22 @@ namespace {
 FigureResult
 run(Runner &runner, const Options &opts)
 {
-    auto names = selectBenchmarks(opts, Suite::memoryIntensiveNames());
-    // Submit the whole matrix up front so the runs overlap.
-    for (const auto &name : names) {
-        Workload w = Suite::get(name, opts.scaleDiv);
-        runner.submitBaseline(w);
-        SimConfig cfg = baseConfig(opts);
-        SimConfig thr = cfg;
-        thr.throttleEnable = true;
-        runner.submit(cfg, w.variant(SwPrefKind::StrideIP));
-        runner.submit(thr, w.variant(SwPrefKind::StrideIP));
-    }
+    SimConfig cfg = baseConfig(opts);
+    SimConfig thr = cfg;
+    thr.throttleEnable = true;
+    RunMatrix m(runner, opts, Suite::memoryIntensiveNames(),
+                {{"mtswp", cfg, SwPrefKind::StrideIP},
+                 {"mtswp+T", thr, SwPrefKind::StrideIP}});
 
     FigureResult out;
     Table t;
     t.name = "early-and-bandwidth";
     t.columns = {"bench", "type", "early", "early+T", "bw", "bw+T"};
-    std::vector<double> g_early, g_earlyT;
-    for (const auto &name : names) {
-        Workload w = Suite::get(name, opts.scaleDiv);
-        const RunResult &base = runner.baseline(w);
-        SimConfig cfg = baseConfig(opts);
-        SimConfig thr = cfg;
-        thr.throttleEnable = true;
-        const RunResult &swp =
-            runner.run(cfg, w.variant(SwPrefKind::StrideIP));
-        const RunResult &swpt =
-            runner.run(thr, w.variant(SwPrefKind::StrideIP));
+    for (std::size_t b = 0; b < m.size(); ++b) {
+        const WorkloadInfo &info = m.workload(b).info;
+        const RunResult &base = m.baseline(b);
+        const RunResult &swp = m.run(b, 0);
+        const RunResult &swpt = m.run(b, 1);
         // Normalized bandwidth: bytes per cycle vs. the baseline run.
         double base_bw = static_cast<double>(base.dramBytes) /
                          static_cast<double>(base.cycles);
@@ -49,9 +38,7 @@ run(Runner &runner, const Options &opts)
                     static_cast<double>(swp.cycles) / base_bw;
         double bwt = static_cast<double>(swpt.dramBytes) /
                      static_cast<double>(swpt.cycles) / base_bw;
-        g_early.push_back(swp.earlyRatio());
-        g_earlyT.push_back(swpt.earlyRatio());
-        t.addRow({Cell::str(name), Cell::str(toString(w.info.type)),
+        t.addRow({Cell::str(info.name), Cell::str(toString(info.type)),
                   Cell::number(swp.earlyRatio()),
                   Cell::number(swpt.earlyRatio()), Cell::number(bw),
                   Cell::number(bwt)});

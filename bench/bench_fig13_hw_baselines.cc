@@ -19,59 +19,27 @@ run(Runner &runner, const Options &opts)
     const HwPrefKind kinds[] = {HwPrefKind::StrideRPT,
                                 HwPrefKind::StridePC,
                                 HwPrefKind::Stream, HwPrefKind::GHB};
-    const char *kindNames[] = {"stride", "stridePC", "stream", "ghb"};
+    const std::string kindNames[] = {"stride", "stridePC", "stream",
+                                     "ghb"};
 
-    auto names = selectBenchmarks(opts, Suite::memoryIntensiveNames());
-    // Submit the whole matrix up front so the runs overlap.
-    for (const auto &name : names) {
-        Workload w = Suite::get(name, opts.scaleDiv);
-        runner.submitBaseline(w);
-        for (bool warp_training : {false, true}) {
-            for (HwPrefKind kind : kinds) {
-                SimConfig cfg = baseConfig(opts);
-                cfg.hwPref = kind;
-                cfg.hwPrefWarpTraining = warp_training;
-                runner.submit(cfg, w.kernel);
-            }
+    // Columns 0-3: original indexing; 4-7: warp-id training.
+    std::vector<RunMatrix::Column> cols;
+    for (bool warp_training : {false, true}) {
+        for (unsigned i = 0; i < 4; ++i) {
+            SimConfig cfg = baseConfig(opts);
+            cfg.hwPref = kinds[i];
+            cfg.hwPrefWarpTraining = warp_training;
+            cols.push_back({kindNames[i], cfg, SwPrefKind::None,
+                            (warp_training ? "warpid." : "orig.") +
+                                kindNames[i]});
         }
     }
+    RunMatrix m(runner, opts, Suite::memoryIntensiveNames(),
+                std::move(cols));
 
     FigureResult out;
-    for (bool warp_training : {false, true}) {
-        Table t;
-        t.name = warp_training ? "13b-warp-id-indexing"
-                               : "13a-original-indexing";
-        t.columns = {"bench", "type", "stride", "stridePC", "stream",
-                     "ghb"};
-        std::vector<double> g[4];
-        for (const auto &name : names) {
-            Workload w = Suite::get(name, opts.scaleDiv);
-            const RunResult &base = runner.baseline(w);
-            std::vector<Cell> row = {
-                Cell::str(name), Cell::str(toString(w.info.type))};
-            for (unsigned i = 0; i < 4; ++i) {
-                SimConfig cfg = baseConfig(opts);
-                cfg.hwPref = kinds[i];
-                cfg.hwPrefWarpTraining = warp_training;
-                const RunResult &r = runner.run(cfg, w.kernel);
-                double spd =
-                    static_cast<double>(base.cycles) / r.cycles;
-                g[i].push_back(spd);
-                row.push_back(Cell::number(spd));
-            }
-            t.addRow(std::move(row));
-        }
-        std::vector<Cell> gm = {Cell::str("geomean"), Cell::str("")};
-        for (unsigned i = 0; i < 4; ++i) {
-            gm.push_back(Cell::number(geomean(g[i])));
-            out.metric(std::string("geomean.") +
-                           (warp_training ? "warpid." : "orig.") +
-                           kindNames[i],
-                       geomean(g[i]));
-        }
-        t.addRow(std::move(gm));
-        out.tables.push_back(std::move(t));
-    }
+    m.speedupTable(out, "13a-original-indexing", true, 0, 4);
+    m.speedupTable(out, "13b-warp-id-indexing", true, 4, 8);
     out.notes.push_back("paper: StridePC (enhanced) stands out with "
                         "wins on black / mersenne / monte / pns and a "
                         "loss on stream; GHB helps scalar and linear "

@@ -11,85 +11,38 @@ namespace mtp {
 namespace bench {
 namespace {
 
-struct Column
-{
-    const char *name;
-    bool ghb, pws, gs, ip;
-};
-
-constexpr Column kColumns[] = {
-    {"ghb", true, false, false, false},
-    {"pws", false, true, false, false},
-    {"pws+gs", false, true, true, false},
-    {"pws+ip", false, true, false, true},
-    {"pws+gs+ip", false, true, true, true},
-};
-
-SimConfig
-configFor(const Options &opts, const Column &col)
-{
-    SimConfig cfg = baseConfig(opts);
-    if (col.ghb) {
-        cfg.hwPref = HwPrefKind::GHB;
-    } else {
-        cfg.hwPref = HwPrefKind::MTHWP;
-        cfg.mthwpPws = col.pws;
-        cfg.mthwpGs = col.gs;
-        cfg.mthwpIp = col.ip;
-    }
-    return cfg;
-}
-
 FigureResult
 run(Runner &runner, const Options &opts)
 {
-    auto names = selectBenchmarks(opts, Suite::memoryIntensiveNames());
-    // Submit the whole matrix up front so the runs overlap.
-    for (const auto &name : names) {
-        Workload w = Suite::get(name, opts.scaleDiv);
-        runner.submitBaseline(w);
-        for (const Column &col : kColumns)
-            runner.submit(configFor(opts, col), w.kernel);
-    }
+    auto mthwp = [&](bool pws, bool gs, bool ip) {
+        SimConfig cfg = baseConfig(opts);
+        cfg.hwPref = HwPrefKind::MTHWP;
+        cfg.mthwpPws = pws;
+        cfg.mthwpGs = gs;
+        cfg.mthwpIp = ip;
+        return cfg;
+    };
+    SimConfig ghb = baseConfig(opts);
+    ghb.hwPref = HwPrefKind::GHB;
+    RunMatrix m(runner, opts, Suite::memoryIntensiveNames(),
+                {{"ghb", ghb},
+                 {"pws", mthwp(true, false, false)},
+                 {"pws+gs", mthwp(true, true, false)},
+                 {"pws+ip", mthwp(true, false, true)},
+                 {"pws+gs+ip", mthwp(true, true, true)}});
 
     FigureResult out;
-    Table t;
-    t.name = "ablation";
-    t.columns = {"bench", "type"};
-    for (const Column &col : kColumns)
-        t.columns.push_back(col.name);
+    m.speedupTable(out, "ablation", true);
 
-    std::vector<double> g[5];
+    // The GS table's PWS-probe savings under the full MT-HWP.
     double saved_sum = 0.0, probes_sum = 0.0;
-    for (const auto &name : names) {
-        Workload w = Suite::get(name, opts.scaleDiv);
-        const RunResult &base = runner.baseline(w);
-        std::vector<Cell> row = {Cell::str(name),
-                                 Cell::str(toString(w.info.type))};
-        for (unsigned i = 0; i < 5; ++i) {
-            const RunResult &r =
-                runner.run(configFor(opts, kColumns[i]), w.kernel);
-            double spd = static_cast<double>(base.cycles) / r.cycles;
-            g[i].push_back(spd);
-            row.push_back(Cell::number(spd));
-            if (i == 4 && w.info.type == WorkloadType::Stride) {
-                saved_sum += r.stats.sumMatching(
-                    "core", ".hwPref.pwsAccessesSaved");
-                probes_sum += r.stats.sumMatching(
-                    "core", ".hwPref.pwsAccesses");
-            }
-        }
-        t.addRow(std::move(row));
+    for (std::size_t b = 0; b < m.size(); ++b) {
+        if (m.workload(b).info.type != WorkloadType::Stride)
+            continue;
+        const RunResult &r = m.run(b, 4);
+        saved_sum += r.stats.sumMatching("core", ".hwPref.pwsAccessesSaved");
+        probes_sum += r.stats.sumMatching("core", ".hwPref.pwsAccesses");
     }
-    std::vector<Cell> gm = {Cell::str("geomean"), Cell::str("")};
-    for (unsigned i = 0; i < 5; ++i) {
-        gm.push_back(Cell::number(geomean(g[i])));
-        out.metric(std::string("geomean.") + kColumns[i].name,
-                   geomean(g[i]));
-    }
-    t.addRow(std::move(gm));
-    out.tables.push_back(std::move(t));
-
     if (saved_sum + probes_sum > 0) {
         out.metric("gs.pwsSavings%",
                    100.0 * saved_sum / (saved_sum + probes_sum));

@@ -11,81 +11,30 @@ namespace mtp {
 namespace bench {
 namespace {
 
-constexpr const char *kColumnNames[6] = {"ghb",    "ghb+F",
-                                         "stpc",   "stpc+T",
-                                         "mthwp",  "mthwp+T"};
-
-SimConfig
-configFor(const Options &opts, unsigned i)
-{
-    SimConfig cfg = baseConfig(opts);
-    switch (i) {
-    case 0:
-        cfg.hwPref = HwPrefKind::GHB;
-        break;
-    case 1:
-        cfg.hwPref = HwPrefKind::GHB;
-        cfg.ghbFeedback = true;
-        break;
-    case 2:
-        cfg.hwPref = HwPrefKind::StridePC;
-        break;
-    case 3:
-        cfg.hwPref = HwPrefKind::StridePC;
-        cfg.stridePcLateThrottle = true;
-        break;
-    case 4:
-        cfg.hwPref = HwPrefKind::MTHWP;
-        break;
-    default:
-        cfg.hwPref = HwPrefKind::MTHWP;
-        cfg.throttleEnable = true;
-        break;
-    }
-    return cfg;
-}
-
 FigureResult
 run(Runner &runner, const Options &opts)
 {
-    auto names = selectBenchmarks(opts, Suite::memoryIntensiveNames());
-    // Submit the whole matrix up front so the runs overlap.
-    for (const auto &name : names) {
-        Workload w = Suite::get(name, opts.scaleDiv);
-        runner.submitBaseline(w);
-        for (unsigned i = 0; i < 6; ++i)
-            runner.submit(configFor(opts, i), w.kernel);
-    }
+    auto hw = [&](HwPrefKind kind) {
+        SimConfig cfg = baseConfig(opts);
+        cfg.hwPref = kind;
+        return cfg;
+    };
+    SimConfig ghbF = hw(HwPrefKind::GHB);
+    ghbF.ghbFeedback = true;
+    SimConfig stpcT = hw(HwPrefKind::StridePC);
+    stpcT.stridePcLateThrottle = true;
+    SimConfig mthwpT = hw(HwPrefKind::MTHWP);
+    mthwpT.throttleEnable = true;
+    RunMatrix m(runner, opts, Suite::memoryIntensiveNames(),
+                {{"ghb", hw(HwPrefKind::GHB)},
+                 {"ghb+F", ghbF},
+                 {"stpc", hw(HwPrefKind::StridePC)},
+                 {"stpc+T", stpcT},
+                 {"mthwp", hw(HwPrefKind::MTHWP)},
+                 {"mthwp+T", mthwpT}});
 
     FigureResult out;
-    Table t;
-    t.name = "speedups";
-    t.columns = {"bench", "type"};
-    for (const char *c : kColumnNames)
-        t.columns.push_back(c);
-    std::vector<double> g[6];
-    for (const auto &name : names) {
-        Workload w = Suite::get(name, opts.scaleDiv);
-        const RunResult &base = runner.baseline(w);
-        std::vector<Cell> row = {Cell::str(name),
-                                 Cell::str(toString(w.info.type))};
-        for (unsigned i = 0; i < 6; ++i) {
-            const RunResult &r =
-                runner.run(configFor(opts, i), w.kernel);
-            double spd = static_cast<double>(base.cycles) / r.cycles;
-            g[i].push_back(spd);
-            row.push_back(Cell::number(spd));
-        }
-        t.addRow(std::move(row));
-    }
-    std::vector<Cell> gm = {Cell::str("geomean"), Cell::str("")};
-    for (unsigned i = 0; i < 6; ++i) {
-        gm.push_back(Cell::number(geomean(g[i])));
-        out.metric(std::string("geomean.") + kColumnNames[i],
-                   geomean(g[i]));
-    }
-    t.addRow(std::move(gm));
-    out.tables.push_back(std::move(t));
+    m.speedupTable(out, "speedups", true);
     out.notes.push_back("paper: throttling rescues stream (the "
                         "late-prefetch pathology) with small losses "
                         "elsewhere; MT-HWP+T is +22%/+15% over "

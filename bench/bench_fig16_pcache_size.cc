@@ -12,71 +12,46 @@ namespace mtp {
 namespace bench {
 namespace {
 
-SimConfig
-configFor(const Options &opts, unsigned kb, bool hw_pref, bool throttle)
-{
-    SimConfig cfg = baseConfig(opts);
-    cfg.prefCacheBytes = kb * 1024;
-    cfg.throttleEnable = throttle;
-    if (hw_pref)
-        cfg.hwPref = HwPrefKind::MTHWP;
-    return cfg;
-}
-
 FigureResult
 run(Runner &runner, const Options &opts)
 {
-    auto names = selectBenchmarks(opts, sweepSubset());
     const unsigned sizesKb[] = {1, 2, 4, 8, 16, 32, 64, 128};
-    // Submit the whole size sweep up front so the runs overlap.
-    for (const auto &name : names) {
-        Workload w = Suite::get(name, opts.scaleDiv);
-        runner.submitBaseline(w);
-        for (unsigned kb : sizesKb) {
-            for (bool throttle : {false, true}) {
-                runner.submit(configFor(opts, kb, true, throttle),
-                              w.kernel);
-                runner.submit(configFor(opts, kb, false, throttle),
-                              w.variant(SwPrefKind::StrideIP));
-            }
+    // Four columns per size: MT-HWP, MT-SWP, MT-HWP+T, MT-SWP+T.
+    std::vector<RunMatrix::Column> cols;
+    for (unsigned kb : sizesKb) {
+        for (bool throttle : {false, true}) {
+            SimConfig cfg = baseConfig(opts);
+            cfg.prefCacheBytes = kb * 1024;
+            cfg.throttleEnable = throttle;
+            SimConfig hw = cfg;
+            hw.hwPref = HwPrefKind::MTHWP;
+            cols.push_back({"mthwp", hw});
+            cols.push_back({"mtswp", cfg, SwPrefKind::StrideIP});
         }
     }
+    RunMatrix m(runner, opts, sweepSubset(), std::move(cols));
 
     FigureResult out;
     Table t;
     t.name = "size-sweep";
     t.columns = {"size", "mthwp", "mthwp+T", "mtswp", "mtswp+T"};
-    for (unsigned kb : sizesKb) {
-        std::vector<double> hw, hwt, sw, swt;
-        for (const auto &name : names) {
-            Workload w = Suite::get(name, opts.scaleDiv);
-            const RunResult &base = runner.baseline(w);
-            auto speedup = [&](bool hw_pref, bool throttle) {
-                SimConfig cfg = configFor(opts, kb, hw_pref, throttle);
-                const RunResult &r = runner.run(
-                    cfg, hw_pref ? w.kernel
-                                 : w.variant(SwPrefKind::StrideIP));
-                return static_cast<double>(base.cycles) / r.cycles;
-            };
-            hw.push_back(speedup(true, false));
-            hwt.push_back(speedup(true, true));
-            sw.push_back(speedup(false, false));
-            swt.push_back(speedup(false, true));
-        }
-        t.addRow({Cell::str(std::to_string(kb) + "K"),
-                  Cell::number(geomean(hw), 3),
-                  Cell::number(geomean(hwt), 3),
-                  Cell::number(geomean(sw), 3),
-                  Cell::number(geomean(swt), 3)});
-        if (kb == 16) {
-            out.metric("geomean.16K.mthwp+T", geomean(hwt));
-            out.metric("geomean.16K.mtswp+T", geomean(swt));
+    for (std::size_t i = 0; i < std::size(sizesKb); ++i) {
+        double hw = geomean(m.speedups(4 * i));
+        double sw = geomean(m.speedups(4 * i + 1));
+        double hwt = geomean(m.speedups(4 * i + 2));
+        double swt = geomean(m.speedups(4 * i + 3));
+        t.addRow({Cell::str(std::to_string(sizesKb[i]) + "K"),
+                  Cell::number(hw, 3), Cell::number(hwt, 3),
+                  Cell::number(sw, 3), Cell::number(swt, 3)});
+        if (sizesKb[i] == 16) {
+            out.metric("geomean.16K.mthwp+T", hwt);
+            out.metric("geomean.16K.mtswp+T", swt);
         }
     }
     out.tables.push_back(std::move(t));
     std::string used = "benchmarks:";
-    for (const auto &n : names)
-        used += " " + n;
+    for (std::size_t b = 0; b < m.size(); ++b)
+        used += " " + m.workload(b).info.name;
     out.notes.push_back(used);
     out.notes.push_back("paper shape: performance grows with cache "
                         "size; at 1KB unthrottled prefetching degrades "

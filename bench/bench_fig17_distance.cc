@@ -17,50 +17,21 @@ namespace {
 FigureResult
 run(Runner &runner, const Options &opts)
 {
-    auto names = selectBenchmarks(opts, sweepSubset());
-    const unsigned distances[] = {1, 3, 5, 7, 9, 11, 13, 15};
-
-    // Submit the whole distance sweep up front so the runs overlap.
-    for (const auto &name : names) {
-        Workload w = Suite::get(name, opts.scaleDiv);
-        runner.submitBaseline(w);
-        for (unsigned d : distances) {
-            SimConfig cfg = baseConfig(opts);
-            cfg.hwPref = HwPrefKind::MTHWP;
-            cfg.prefDistance = d;
-            runner.submit(cfg, w.kernel);
-        }
+    std::vector<RunMatrix::Column> cols;
+    for (unsigned d : {1, 3, 5, 7, 9, 11, 13, 15}) {
+        SimConfig cfg = baseConfig(opts);
+        cfg.hwPref = HwPrefKind::MTHWP;
+        cfg.prefDistance = d;
+        std::string name = "d";
+        name += std::to_string(d);
+        // The summary keeps the two ends of the sweep.
+        cols.push_back({name, cfg, SwPrefKind::None,
+                        d == 1 || d == 15 ? name : ""});
     }
+    RunMatrix m(runner, opts, sweepSubset(), std::move(cols));
 
     FigureResult out;
-    Table t;
-    t.name = "distance-sweep";
-    t.columns = {"bench"};
-    for (unsigned d : distances)
-        t.columns.push_back("d" + std::to_string(d));
-    std::vector<std::vector<double>> per_distance(8);
-    for (const auto &name : names) {
-        Workload w = Suite::get(name, opts.scaleDiv);
-        const RunResult &base = runner.baseline(w);
-        std::vector<Cell> row = {Cell::str(name)};
-        for (unsigned i = 0; i < 8; ++i) {
-            SimConfig cfg = baseConfig(opts);
-            cfg.hwPref = HwPrefKind::MTHWP;
-            cfg.prefDistance = distances[i];
-            const RunResult &r = runner.run(cfg, w.kernel);
-            double spd = static_cast<double>(base.cycles) / r.cycles;
-            per_distance[i].push_back(spd);
-            row.push_back(Cell::number(spd));
-        }
-        t.addRow(std::move(row));
-    }
-    std::vector<Cell> gm = {Cell::str("geomean")};
-    for (unsigned i = 0; i < 8; ++i)
-        gm.push_back(Cell::number(geomean(per_distance[i])));
-    t.addRow(std::move(gm));
-    out.tables.push_back(std::move(t));
-    out.metric("geomean.d1", geomean(per_distance[0]));
-    out.metric("geomean.d15", geomean(per_distance[7]));
+    m.speedupTable(out, "distance-sweep", false);
     out.notes.push_back("paper shape: distance 1 best overall; stream "
                         "peaks around distance 5 then decays as "
                         "prefetches turn early (the 16 KB cache cannot "

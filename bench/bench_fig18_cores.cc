@@ -16,22 +16,33 @@ FigureResult
 run(Runner &runner, const Options &opts)
 {
     auto names = selectBenchmarks(opts, sweepSubset());
+    const unsigned coreCounts[] = {8, 10, 12, 14, 16, 18, 20};
 
-    // Submit the whole core-count sweep up front so the runs overlap.
+    // Per benchmark and core count: the baseline, then MT-SWP and
+    // MT-HWP without and with throttling.
+    struct Runs
+    {
+        std::shared_future<RunResult> base;
+        std::shared_future<RunResult> sw[2], hw[2]; //!< [throttle]
+    };
+    std::vector<std::vector<Runs>> runs; //!< [benchmark][core count]
     for (const auto &name : names) {
         Workload w = Suite::get(name, opts.scaleDiv);
         KernelDesc swp = w.variant(SwPrefKind::StrideIP);
-        for (unsigned cores = 8; cores <= 20; cores += 2) {
+        runs.emplace_back();
+        for (unsigned cores : coreCounts) {
             SimConfig base_cfg = baseConfig(opts);
             base_cfg.numCores = cores;
-            runner.submit(base_cfg, w.kernel);
+            Runs r;
+            r.base = runner.submit(base_cfg, w.kernel);
             for (bool throttle : {false, true}) {
                 SimConfig cfg = base_cfg;
                 cfg.throttleEnable = throttle;
-                runner.submit(cfg, swp);
+                r.sw[throttle] = runner.submit(cfg, swp);
                 cfg.hwPref = HwPrefKind::MTHWP;
-                runner.submit(cfg, w.kernel);
+                r.hw[throttle] = runner.submit(cfg, w.kernel);
             }
+            runs.back().push_back(std::move(r));
         }
     }
 
@@ -39,35 +50,22 @@ run(Runner &runner, const Options &opts)
     Table t;
     t.name = "core-sweep";
     t.columns = {"cores", "mthwp", "mthwp+T", "mtswp", "mtswp+T"};
-    for (unsigned cores = 8; cores <= 20; cores += 2) {
+    for (std::size_t i = 0; i < std::size(coreCounts); ++i) {
         std::vector<double> hw, hwt, sw, swt;
-        for (const auto &name : names) {
-            Workload w = Suite::get(name, opts.scaleDiv);
-            SimConfig base_cfg = baseConfig(opts);
-            base_cfg.numCores = cores;
-            const RunResult &base = runner.run(base_cfg, w.kernel);
-            auto speedup = [&](bool hw_pref, bool throttle) {
-                SimConfig cfg = base_cfg;
-                cfg.throttleEnable = throttle;
-                if (hw_pref) {
-                    cfg.hwPref = HwPrefKind::MTHWP;
-                    const RunResult &r = runner.run(cfg, w.kernel);
-                    return static_cast<double>(base.cycles) / r.cycles;
-                }
-                const RunResult &r =
-                    runner.run(cfg, w.variant(SwPrefKind::StrideIP));
-                return static_cast<double>(base.cycles) / r.cycles;
-            };
-            hw.push_back(speedup(true, false));
-            hwt.push_back(speedup(true, true));
-            sw.push_back(speedup(false, false));
-            swt.push_back(speedup(false, true));
+        for (const auto &bench : runs) {
+            const Runs &r = bench[i];
+            double base = static_cast<double>(r.base.get().cycles);
+            hw.push_back(base / r.hw[0].get().cycles);
+            hwt.push_back(base / r.hw[1].get().cycles);
+            sw.push_back(base / r.sw[0].get().cycles);
+            swt.push_back(base / r.sw[1].get().cycles);
         }
-        t.addRow({Cell::number(cores, 0), Cell::number(geomean(hw), 3),
+        t.addRow({Cell::number(coreCounts[i], 0),
+                  Cell::number(geomean(hw), 3),
                   Cell::number(geomean(hwt), 3),
                   Cell::number(geomean(sw), 3),
                   Cell::number(geomean(swt), 3)});
-        if (cores == 14) {
+        if (coreCounts[i] == 14) {
             out.metric("geomean.14.mthwp+T", geomean(hwt));
             out.metric("geomean.14.mtswp+T", geomean(swt));
         }

@@ -76,7 +76,7 @@ main(int argc, char **argv)
         reps = 3;
     }
     if (!opts.benchmarks.empty())
-        MTP_FATAL("--bench is not accepted: this harness times stream");
+        cli::fail("--bench is not accepted: this harness times stream");
 
     // A memory-intensive workload with hardware prefetching and the
     // throttle engine on exercises every hook site: coalesce, MRQ

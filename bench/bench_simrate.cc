@@ -294,6 +294,17 @@ main(int argc, char **argv)
         workloads.emplace_back("mlp_stream",
                                mlpStreamKernel(cfg.numCores, denseTrips));
     }
+    // An unknown name exits before anything is timed.
+    for (const std::string &name : filter) {
+        auto named = [&](const auto &w) { return w.first == name; };
+        if (std::none_of(workloads.begin(), workloads.end(), named)) {
+            std::string known;
+            for (const auto &w : workloads)
+                known += (known.empty() ? "" : ", ") + w.first;
+            cli::fail("unknown workload '" + name + "' (this run has: " +
+                      known + ")");
+        }
+    }
     if (!filter.empty()) {
         std::vector<std::pair<std::string, KernelDesc>> kept;
         for (auto &w : workloads)

@@ -15,15 +15,10 @@ namespace {
 FigureResult
 run(Runner &runner, const Options &opts)
 {
-    auto names = selectBenchmarks(opts, Suite::memoryIntensiveNames());
-    // Submit the whole matrix up front so the runs overlap.
-    for (const auto &name : names) {
-        Workload w = Suite::get(name, opts.scaleDiv);
-        runner.submitBaseline(w);
-        SimConfig pmem = baseConfig(opts);
-        pmem.perfectMemory = true;
-        runner.submit(pmem, w.kernel);
-    }
+    SimConfig pmem = baseConfig(opts);
+    pmem.perfectMemory = true;
+    RunMatrix m(runner, opts, Suite::memoryIntensiveNames(),
+                {{"pmem", pmem}});
 
     FigureResult out;
     Table t;
@@ -31,16 +26,17 @@ run(Runner &runner, const Options &opts)
     t.columns = {"bench",   "suite",      "type",      "warps",
                  "blocks",  "blk/core",   "baseCPI",   "paper.base",
                  "pmemCPI", "paper.pmem", "mem-intense"};
+    Table d;
+    d.name = "delinquent-loads";
+    d.columns = {"bench", "stride", "ip"};
     unsigned intenseCount = 0;
-    for (const auto &name : names) {
-        Workload w = Suite::get(name, opts.scaleDiv);
-        const RunResult &base = runner.baseline(w);
-        SimConfig pmem = baseConfig(opts);
-        pmem.perfectMemory = true;
-        const RunResult &perfect = runner.run(pmem, w.kernel);
+    for (std::size_t b = 0; b < m.size(); ++b) {
+        const Workload &w = m.workload(b);
+        const RunResult &base = m.baseline(b);
+        const RunResult &perfect = m.run(b, 0);
         bool intense = base.cpi > 1.5 * perfect.cpi;
         intenseCount += intense;
-        t.addRow({Cell::str(name), Cell::str(w.info.suite),
+        t.addRow({Cell::str(w.info.name), Cell::str(w.info.suite),
                   Cell::str(toString(w.info.type)),
                   Cell::number(
                       static_cast<double>(w.info.paperWarps), 0),
@@ -51,25 +47,18 @@ run(Runner &runner, const Options &opts)
                   Cell::number(perfect.cpi),
                   Cell::number(w.info.paperPmemCpi),
                   Cell::str(intense ? "yes" : "NO")});
-    }
-    out.tables.push_back(std::move(t));
-
-    Table d;
-    d.name = "delinquent-loads";
-    d.columns = {"bench", "stride", "ip"};
-    for (const auto &name : names) {
-        Workload w = Suite::get(name, 64);
-        d.addRow({Cell::str(name),
+        d.addRow({Cell::str(w.info.name),
                   Cell::number(w.info.paperDelinquentStride, 0),
                   Cell::number(w.info.paperDelinquentIp, 0)});
     }
+    out.tables.push_back(std::move(t));
     out.tables.push_back(std::move(d));
 
     out.metric("memIntensive.count", intenseCount);
     out.metric("memIntensive.frac",
-               names.empty() ? 0.0
+               m.size() == 0 ? 0.0
                              : static_cast<double>(intenseCount) /
-                                   static_cast<double>(names.size()));
+                                   static_cast<double>(m.size()));
     out.notes.push_back("mem-intense: base CPI > 1.5x perfect-memory "
                         "CPI (the paper's Table III criterion)");
     return out;

@@ -14,18 +14,12 @@ namespace {
 FigureResult
 run(Runner &runner, const Options &opts)
 {
-    auto names = selectBenchmarks(opts, Suite::computeNames());
-    // Submit the whole matrix up front so the runs overlap.
-    for (const auto &name : names) {
-        Workload w = Suite::get(name, opts.scaleDiv);
-        runner.submitBaseline(w);
-        SimConfig pmem = baseConfig(opts);
-        pmem.perfectMemory = true;
-        runner.submit(pmem, w.kernel);
-        SimConfig hwp = baseConfig(opts);
-        hwp.hwPref = HwPrefKind::MTHWP;
-        runner.submit(hwp, w.kernel);
-    }
+    SimConfig pmem = baseConfig(opts);
+    pmem.perfectMemory = true;
+    SimConfig hwp = baseConfig(opts);
+    hwp.hwPref = HwPrefKind::MTHWP;
+    RunMatrix m(runner, opts, Suite::computeNames(),
+                {{"pmem", pmem}, {"hwp", hwp}});
 
     FigureResult out;
     Table t;
@@ -33,22 +27,18 @@ run(Runner &runner, const Options &opts)
     t.columns = {"bench",   "baseCPI",    "paper.base", "pmemCPI",
                  "paper.pmem", "hwpCPI", "paper.hwp"};
     std::vector<double> hwpOverBase;
-    for (const auto &name : names) {
-        Workload w = Suite::get(name, opts.scaleDiv);
-        const RunResult &base = runner.baseline(w);
-        SimConfig pmem = baseConfig(opts);
-        pmem.perfectMemory = true;
-        const RunResult &perfect = runner.run(pmem, w.kernel);
-        SimConfig hwp = baseConfig(opts);
-        hwp.hwPref = HwPrefKind::MTHWP;
-        const RunResult &pref = runner.run(hwp, w.kernel);
+    for (std::size_t b = 0; b < m.size(); ++b) {
+        const WorkloadInfo &info = m.workload(b).info;
+        const RunResult &base = m.baseline(b);
+        const RunResult &perfect = m.run(b, 0);
+        const RunResult &pref = m.run(b, 1);
         hwpOverBase.push_back(base.cpi / pref.cpi);
-        t.addRow({Cell::str(name), Cell::number(base.cpi),
-                  Cell::number(w.info.paperBaseCpi),
+        t.addRow({Cell::str(info.name), Cell::number(base.cpi),
+                  Cell::number(info.paperBaseCpi),
                   Cell::number(perfect.cpi),
-                  Cell::number(w.info.paperPmemCpi),
+                  Cell::number(info.paperPmemCpi),
                   Cell::number(pref.cpi),
-                  Cell::number(w.info.paperHwpCpi)});
+                  Cell::number(info.paperHwpCpi)});
     }
     out.tables.push_back(std::move(t));
     out.metric("geomean.hwpSpeedup", geomean(hwpOverBase));

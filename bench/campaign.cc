@@ -8,7 +8,6 @@
 #include <unistd.h>
 
 #include "bench/harnesses.hh"
-#include "common/log.hh"
 
 namespace mtp {
 namespace bench {
@@ -47,6 +46,87 @@ findSpec(const std::string &name)
             return &spec;
     }
     return nullptr;
+}
+
+// --- run matrices --------------------------------------------------------
+
+RunMatrix::RunMatrix(Runner &runner, const Options &opts,
+                     const std::vector<std::string> &fallback,
+                     std::vector<Column> columns)
+    : columns_(std::move(columns))
+{
+    for (const std::string &name : selectBenchmarks(opts, fallback)) {
+        Workload w = Suite::get(name, opts.scaleDiv);
+        baselines_.push_back(runner.submit(baseConfig(opts), w.kernel));
+        std::vector<std::shared_future<RunResult>> row;
+        for (const Column &col : columns_)
+            row.push_back(runner.submit(
+                col.cfg, col.sw == SwPrefKind::None ? w.kernel
+                                                    : w.variant(col.sw)));
+        runs_.push_back(std::move(row));
+        workloads_.push_back(std::move(w));
+    }
+}
+
+const RunResult &
+RunMatrix::baseline(std::size_t b) const
+{
+    return baselines_[b].get();
+}
+
+const RunResult &
+RunMatrix::run(std::size_t b, std::size_t c) const
+{
+    return runs_[b][c].get();
+}
+
+double
+RunMatrix::speedup(std::size_t b, std::size_t c) const
+{
+    return static_cast<double>(baseline(b).cycles) / run(b, c).cycles;
+}
+
+std::vector<double>
+RunMatrix::speedups(std::size_t c) const
+{
+    std::vector<double> out;
+    for (std::size_t b = 0; b < size(); ++b)
+        out.push_back(speedup(b, c));
+    return out;
+}
+
+void
+RunMatrix::speedupTable(FigureResult &out, const std::string &name,
+                        bool typeColumn, std::size_t first,
+                        std::size_t last) const
+{
+    last = std::min(last, columns_.size());
+    Table t;
+    t.name = name;
+    t.columns = {"bench"};
+    if (typeColumn)
+        t.columns.push_back("type");
+    for (std::size_t c = first; c < last; ++c)
+        t.columns.push_back(columns_[c].name);
+    for (std::size_t b = 0; b < size(); ++b) {
+        std::vector<Cell> row = {Cell::str(workloads_[b].info.name)};
+        if (typeColumn)
+            row.push_back(Cell::str(toString(workloads_[b].info.type)));
+        for (std::size_t c = first; c < last; ++c)
+            row.push_back(Cell::number(speedup(b, c)));
+        t.addRow(std::move(row));
+    }
+    std::vector<Cell> gm = {Cell::str("geomean")};
+    if (typeColumn)
+        gm.push_back(Cell::str(""));
+    for (std::size_t c = first; c < last; ++c) {
+        double g = geomean(speedups(c));
+        gm.push_back(Cell::number(g));
+        if (!columns_[c].metric.empty())
+            out.metric("geomean." + columns_[c].metric, g);
+    }
+    t.addRow(std::move(gm));
+    out.tables.push_back(std::move(t));
 }
 
 // --- human rendering ----------------------------------------------------
@@ -191,6 +271,8 @@ runCampaign(const Options &opts, const std::vector<std::string> &only,
             CampaignProgress *progress,
             const std::function<void(const FigureRun &)> &onFigure)
 {
+    // Every name is checked before the first figure simulates.
+    checkBenchmarks(opts.benchmarks);
     std::vector<const CampaignSpec *> selected;
     if (only.empty()) {
         for (const auto &spec : campaignSpecs())
@@ -199,7 +281,7 @@ runCampaign(const Options &opts, const std::vector<std::string> &only,
         for (const auto &name : only) {
             const CampaignSpec *spec = findSpec(name);
             if (!spec)
-                MTP_FATAL("unknown campaign figure '", name,
+                cli::fail("unknown campaign figure '" + name +
                           "' (mtp-campaign --list prints them)");
             selected.push_back(spec);
         }
@@ -225,7 +307,9 @@ runCampaign(const Options &opts, const std::vector<std::string> &only,
         const CampaignSpec *spec = selected[i];
         if (progress)
             progress->beginFigure(i, selected.size(), spec->name);
-        std::size_t fpStart = runner.fingerprints().size();
+        // Each miss created one cache entry: the figure's own runs are
+        // the entries from here on.
+        std::size_t firstRun = runner.cacheMisses();
         auto f0 = std::chrono::steady_clock::now();
 
         FigureRun fr;
@@ -234,10 +318,7 @@ runCampaign(const Options &opts, const std::vector<std::string> &only,
         fr.wallSeconds = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - f0)
                              .count();
-        fr.fingerprints.assign(
-            runner.fingerprints().begin() +
-                static_cast<std::ptrdiff_t>(fpStart),
-            runner.fingerprints().end());
+        fr.fingerprints = runner.fingerprints(firstRun);
         if (onFigure)
             onFigure(fr);
         res.figures.push_back(std::move(fr));

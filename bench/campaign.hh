@@ -24,6 +24,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <mutex>
@@ -106,6 +107,61 @@ struct FigureResult
     {
         summary.emplace_back(name, value);
     }
+};
+
+/**
+ * The benchmark x column run matrix most figures are: for each
+ * benchmark, the baseline run (baseConfig(), the kernel as built) and
+ * one run per column. The constructor submits them in exactly that
+ * order — benchmark by benchmark, baseline first — so the figure's
+ * runs are declared once, and the accessors block on the handles.
+ */
+class RunMatrix
+{
+  public:
+    /** A config and the software-prefetch variant of each benchmark's
+     *  kernel it runs. */
+    struct Column
+    {
+        std::string name; //!< table header
+        SimConfig cfg;
+        SwPrefKind sw = SwPrefKind::None;
+        std::string metric = name; //!< "geomean.<metric>"; empty: none
+    };
+
+    /** Submit the matrix over the --bench list, or over @p fallback. */
+    RunMatrix(Runner &runner, const Options &opts,
+              const std::vector<std::string> &fallback,
+              std::vector<Column> columns);
+
+    /** Number of benchmarks (rows). */
+    std::size_t size() const { return workloads_.size(); }
+
+    const Workload &workload(std::size_t b) const { return workloads_[b]; }
+    const RunResult &baseline(std::size_t b) const;
+    const RunResult &run(std::size_t b, std::size_t c) const;
+
+    /** Baseline cycles over column @p c's cycles for benchmark @p b. */
+    double speedup(std::size_t b, std::size_t c) const;
+
+    /** Column @p c's speedups, one per benchmark. */
+    std::vector<double> speedups(std::size_t c) const;
+
+    /**
+     * Append the speedup table of columns [first, last) to @p out: one
+     * row per benchmark (its name, its workload type when
+     * @p typeColumn, one speedup per column), a geomean row, and a
+     * "geomean.<metric>" summary metric per column.
+     */
+    void speedupTable(FigureResult &out, const std::string &name,
+                      bool typeColumn, std::size_t first = 0,
+                      std::size_t last = SIZE_MAX) const;
+
+  private:
+    std::vector<Column> columns_;
+    std::vector<Workload> workloads_;
+    std::vector<std::shared_future<RunResult>> baselines_; //!< [b]
+    std::vector<std::vector<std::shared_future<RunResult>>> runs_; //!< [b][c]
 };
 
 /** A registered harness: how to run it and where it sits in the paper. */

@@ -4,6 +4,11 @@
  * defines one factory; campaignSpecs() lists them explicitly (an
  * explicit registry instead of static-initializer registration, so a
  * static link can never silently drop a figure).
+ *
+ * A harness declares each of its runs once: a RunMatrix for the
+ * benchmark x column figures, or the handles Runner::submit() returns
+ * for the rest. Its submission order is the order of the figure's
+ * manifest fingerprints, so it must not change without a new golden.
  */
 
 #ifndef MTP_BENCH_HARNESSES_HH

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 
 namespace mtp {
 namespace cli {
@@ -42,10 +41,19 @@ fail(const std::string &msg, int status)
 std::vector<std::string>
 Arg::list() const
 {
+    if (value.empty())
+        fail(flag + " needs at least one name");
     std::vector<std::string> items;
-    std::istringstream ss(value);
-    for (std::string item; std::getline(ss, item, ',');)
-        items.push_back(item);
+    for (std::size_t start = 0; start <= value.size();) {
+        std::size_t comma = std::min(value.find(',', start), value.size());
+        std::string item = value.substr(start, comma - start);
+        if (item.empty())
+            fail(flag + " has an empty name in '" + value + "'");
+        if (std::find(items.begin(), items.end(), item) != items.end())
+            fail(flag + " names '" + item + "' twice");
+        items.push_back(std::move(item));
+        start = comma + 1;
+    }
     return items;
 }
 

@@ -47,7 +47,8 @@ struct Arg
         return v;
     }
 
-    /** The value split at commas: "a,b" gives {"a", "b"}. */
+    /** The value split at commas: "a,b" gives {"a", "b"}. An empty
+     *  list, an empty name or a repeated name fails. */
     std::vector<std::string> list() const;
 };
 

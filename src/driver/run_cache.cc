@@ -5,8 +5,8 @@
 namespace mtp {
 namespace driver {
 
-RunCache::Entry &
-RunCache::lookup(const SimConfig &cfg, const KernelDesc &kernel,
+std::shared_future<RunResult>
+RunCache::submit(const SimConfig &cfg, const KernelDesc &kernel,
                  const obs::ObsConfig &ocfg)
 {
     obs::HostScope hostLookup(obs::HostPhase::CacheLookup);
@@ -15,37 +15,21 @@ RunCache::lookup(const SimConfig &cfg, const KernelDesc &kernel,
     auto it = entries_.find(fp);
     if (it != entries_.end()) {
         hits_.fetch_add(1);
-        return *it->second;
+        return it->second;
     }
     misses_.fetch_add(1);
     // Insert time nests inside the lookup span; the profiler's
     // self-time accounting keeps the two rows disjoint.
     obs::HostScope hostInsert(obs::HostPhase::CacheInsert);
-    auto entry = std::make_unique<Entry>();
     // The job owns copies: the caller's cfg/kernel/ocfg may die before
     // the worker runs. Observation is attached only here, on the miss
     // (first submission wins); it is read-only and keeps results
     // bit-identical, so cache hits stay valid regardless of ocfg.
-    entry->future = exec_.submit(
+    std::shared_future<RunResult> run = exec_.submit(
         [cfg, kernel, ocfg]() { return simulate(cfg, kernel, ocfg); });
-    auto [pos, inserted] = entries_.emplace(std::move(fp),
-                                            std::move(entry));
-    (void)inserted;
-    return *pos->second;
-}
-
-void
-RunCache::submit(const SimConfig &cfg, const KernelDesc &kernel,
-                 const obs::ObsConfig &ocfg)
-{
-    lookup(cfg, kernel, ocfg);
-}
-
-const RunResult &
-RunCache::result(const SimConfig &cfg, const KernelDesc &kernel,
-                 const obs::ObsConfig &ocfg)
-{
-    return lookup(cfg, kernel, ocfg).future.get();
+    auto pos = entries_.emplace(std::move(fp), run).first;
+    created_.push_back(&pos->first);
+    return run;
 }
 
 std::size_t
@@ -53,6 +37,16 @@ RunCache::size() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return entries_.size();
+}
+
+std::vector<Fingerprint>
+RunCache::entries(std::size_t from) const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::vector<Fingerprint> out;
+    for (std::size_t i = from; i < created_.size(); ++i)
+        out.push_back(*created_[i]);
+    return out;
 }
 
 } // namespace driver

@@ -6,20 +6,20 @@
  * submit() files a (config, kernel) pair under its Fingerprint and, if
  * the pair is new, enqueues the simulation on the executor; duplicate
  * submissions — sequential or concurrent — attach to the existing
- * entry and never run the simulator twice. result() blocks until the
- * entry's run finishes and returns a reference that stays valid for
- * the cache's lifetime.
+ * entry and never run the simulator twice. Every submission returns
+ * the entry's shared_future: its get() blocks until the run finishes
+ * and returns a reference that stays valid for the cache's lifetime.
  *
- * The intended shape is two-phase: a harness submits its entire run
- * matrix up front (the executor's workers start chewing immediately),
- * then walks the matrix again calling result() in print order. With a
- * single worker that degenerates to exactly the old sequential
+ * The intended shape is submit-then-read: a harness submits its entire
+ * run matrix up front (the executor's workers start chewing
+ * immediately), keeps the handles, and reads them in print order.
+ * With a single worker that degenerates to exactly the old sequential
  * behaviour; with N workers the wall clock approaches the critical
  * path. Results are bit-identical either way because each run is
  * single-threaded and deterministic.
  *
- * result() must not be called from executor worker threads (it blocks;
- * see ParallelExecutor's header).
+ * A handle must not be waited on from executor worker threads (see
+ * ParallelExecutor's header).
  */
 
 #ifndef MTP_DRIVER_RUN_CACHE_HH
@@ -28,9 +28,9 @@
 #include <atomic>
 #include <cstdint>
 #include <future>
-#include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <vector>
 
 #include "driver/fingerprint.hh"
 #include "driver/parallel_executor.hh"
@@ -50,8 +50,10 @@ class RunCache
     RunCache &operator=(const RunCache &) = delete;
 
     /**
-     * Ensure a run for (cfg, kernel) is scheduled (or already done).
-     * Returns immediately. Thread-safe.
+     * Ensure a run for (cfg, kernel) is scheduled (or already done)
+     * and return its handle. Returns immediately. Thread-safe;
+     * concurrent callers of the same key get handles to the same
+     * result.
      *
      * The optional @p ocfg attaches observation (sampling/tracing) to
      * the run if — and only if — this submission is the cache miss
@@ -62,19 +64,9 @@ class RunCache
      * guaranteed trace output for a key must therefore submit it with
      * the ObsConfig before any plain submission of that key.
      */
-    void submit(const SimConfig &cfg, const KernelDesc &kernel,
-                const obs::ObsConfig &ocfg = {});
-
-    /**
-     * Blocking lookup: submit if needed, wait for the run, return the
-     * cached result. The reference remains valid until destruction.
-     * Thread-safe; concurrent callers of the same key get the same
-     * object. @p ocfg follows the same first-submission-wins rule as
-     * submit().
-     */
-    const RunResult &result(const SimConfig &cfg,
-                            const KernelDesc &kernel,
-                            const obs::ObsConfig &ocfg = {});
+    std::shared_future<RunResult> submit(const SimConfig &cfg,
+                                         const KernelDesc &kernel,
+                                         const obs::ObsConfig &ocfg = {});
 
     /** Distinct runs scheduled (cache misses). */
     std::uint64_t misses() const { return misses_.load(); }
@@ -83,35 +75,31 @@ class RunCache
     std::uint64_t hits() const { return hits_.load(); }
 
     /**
-     * Entries discarded to bound memory. Always 0: result() hands out
-     * references that must stay valid for the cache's lifetime, so the
-     * cache never evicts by contract. Exposed anyway so host-side
-     * telemetry (host.cache.*) reports the full hit/miss/eviction
-     * triple and a future bounded cache changes one number, not the
-     * schema.
+     * Entries discarded to bound memory. Always 0: submit() hands out
+     * handles whose results must stay valid for the cache's lifetime,
+     * so the cache never evicts by contract. Exposed anyway so
+     * host-side telemetry (host.cache.*) reports the full
+     * hit/miss/eviction triple and a future bounded cache changes one
+     * number, not the schema.
      */
     std::uint64_t evictions() const { return 0; }
 
     /** Number of distinct entries. */
     std::size_t size() const;
 
+    /** Fingerprints of the entries in creation order, from the
+     *  @p from-th on. Thread-safe. */
+    std::vector<Fingerprint> entries(std::size_t from = 0) const;
+
   private:
-    struct Entry
-    {
-        std::shared_future<RunResult> future;
-    };
-
-    /** Find-or-create the entry, scheduling the run on a miss. */
-    Entry &lookup(const SimConfig &cfg, const KernelDesc &kernel,
-                  const obs::ObsConfig &ocfg);
-
     ParallelExecutor &exec_;
     mutable std::mutex mutex_;
-    // unique_ptr values: rehashing must not move Entry objects, the
-    // shared_futures handed out alias them.
-    std::unordered_map<Fingerprint, std::unique_ptr<Entry>,
+    std::unordered_map<Fingerprint, std::shared_future<RunResult>,
                        FingerprintHash>
         entries_;
+    // Keys of entries_ in creation order; map nodes never move, so the
+    // pointers stay valid.
+    std::vector<const Fingerprint *> created_;
     std::atomic<std::uint64_t> misses_{0};
     std::atomic<std::uint64_t> hits_{0};
 };

@@ -32,13 +32,15 @@ TEST(BenchCommon, ParseArgs)
     EXPECT_EQ(cfg.throttlePeriod, 10000u);
 
     // Malformed or out-of-range numbers exit naming the flag, and so
-    // do unknown flags (--out is the one output flag; there is no -q)
-    // and a flag whose value is missing (a null value ends argv).
+    // do unknown flags (--out is the one output flag; there is no -q),
+    // a flag whose value is missing (a null value ends argv) and a
+    // --bench list that is empty or names a benchmark twice.
     for (auto [flag, value] :
          {std::pair<const char *, const char *>{"--scale", "abc"},
           {"--scale", "0"}, {"--jobs", "x"}, {"--sample-period", "1e3"},
           {"--json", "x"}, {"--trace-out", "x"}, {"-q", "x"},
-          {"--scale", nullptr}}) {
+          {"--scale", nullptr}, {"--bench", ""}, {"--bench", "stream,"},
+          {"--bench", "stream,stream,scalar"}}) {
         const char *bad[] = {"prog", flag, value};
         EXPECT_EXIT(parseArgs(value ? 3 : 2, const_cast<char **>(bad)),
                     ::testing::ExitedWithCode(1), flag);
@@ -77,8 +79,8 @@ TEST(BenchCommon, RunnerCachesIdenticalRuns)
     opts.jobs = 2;
     Runner runner(opts);
     Workload w = Suite::get("cell", opts.scaleDiv);
-    const RunResult &a = runner.baseline(w);
-    const RunResult &b = runner.baseline(w);
+    const RunResult &a = runner.submit(baseConfig(opts), w.kernel).get();
+    const RunResult &b = runner.submit(baseConfig(opts), w.kernel).get();
     EXPECT_EQ(&a, &b); // same cached object
 
     // A config that differs only in an ablation toggle must NOT hit
@@ -87,8 +89,8 @@ TEST(BenchCommon, RunnerCachesIdenticalRuns)
     cfg.hwPref = HwPrefKind::MTHWP;
     SimConfig ablated = cfg;
     ablated.mthwpIp = false;
-    const RunResult &full = runner.run(cfg, w.kernel);
-    const RunResult &pws = runner.run(ablated, w.kernel);
+    const RunResult &full = runner.submit(cfg, w.kernel).get();
+    const RunResult &pws = runner.submit(ablated, w.kernel).get();
     EXPECT_NE(&full, &pws);
 }
 

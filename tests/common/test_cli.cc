@@ -156,6 +156,20 @@ TEST(Cli, ListSplitsAtCommas)
               (std::vector<std::string>{"a", "b"}));
     EXPECT_EQ((Arg{"--bench", "a"}.list()),
               (std::vector<std::string>{"a"}));
+
+    // An empty list, an empty name and a repeated name each exit with
+    // one line naming the flag.
+    for (auto [value, message] :
+         {std::pair<const char *, const char *>{"", "needs at least one name"},
+          {",", "has an empty name in ','"},
+          {"a,", "has an empty name in 'a,'"},
+          {",a", "has an empty name in ',a'"},
+          {"a,,b", "has an empty name in 'a,,b'"},
+          {"a,b,a", "names 'a' twice"}}) {
+        EXPECT_EXIT(Arg({"--bench", value}).list(),
+                    ::testing::ExitedWithCode(1),
+                    std::string("^fatal: --bench ") + message + "\n$");
+    }
 }
 
 } // namespace

@@ -77,8 +77,8 @@ TEST(DriverDeterminism, JobCountDoesNotChangeResults)
 
     for (const auto &cfg : configs)
         for (const auto &k : kernels)
-            expectIdentical(serial.result(cfg, k),
-                            parallel.result(cfg, k));
+            expectIdentical(serial.submit(cfg, k).get(),
+                            parallel.submit(cfg, k).get());
 }
 
 /** Submitting in a different order must not change results either. */
@@ -103,7 +103,8 @@ TEST(DriverDeterminism, SubmissionOrderDoesNotChangeResults)
         reverse.submit(cfg, *it);
 
     for (const auto &k : kernels)
-        expectIdentical(forward.result(cfg, k), reverse.result(cfg, k));
+        expectIdentical(forward.submit(cfg, k).get(),
+                        reverse.submit(cfg, k).get());
 }
 
 } // namespace

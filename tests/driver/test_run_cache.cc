@@ -80,8 +80,8 @@ TEST(RunCache, SameNameDifferentBodyDoesNotCollide)
     cfg.hwPref = HwPrefKind::MTHWP;
     ParallelExecutor exec(2);
     RunCache cache(exec);
-    const RunResult &ra = cache.result(cfg, a);
-    const RunResult &rb = cache.result(cfg, b);
+    const RunResult &ra = cache.submit(cfg, a).get();
+    const RunResult &rb = cache.submit(cfg, b).get();
     EXPECT_NE(&ra, &rb);
     EXPECT_EQ(cache.misses(), 2u);
     EXPECT_EQ(cache.size(), 2u);
@@ -93,16 +93,26 @@ TEST(RunCache, MemoizesIdenticalSubmissions)
 {
     SimConfig cfg = test::tinyConfig();
     KernelDesc k = test::tinyMpKernel();
+    KernelDesc k2 = test::tinyStreamKernel();
     ParallelExecutor exec(2);
     RunCache cache(exec);
     cache.submit(cfg, k);
+    cache.submit(cfg, k2);
     cache.submit(cfg, k);
-    const RunResult &a = cache.result(cfg, k);
-    const RunResult &b = cache.result(cfg, k);
+    const RunResult &a = cache.submit(cfg, k).get();
+    const RunResult &b = cache.submit(cfg, k).get();
     EXPECT_EQ(&a, &b);
-    EXPECT_EQ(cache.misses(), 1u);
+    EXPECT_EQ(cache.misses(), 2u);
     EXPECT_EQ(cache.hits(), 3u);
-    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_EQ(cache.size(), 2u);
+
+    // Entries are listed in creation order; a repeat adds none. The
+    // campaign manifest's per-figure fingerprints depend on this.
+    Fingerprint f1 = fingerprint(cfg, k);
+    Fingerprint f2 = fingerprint(cfg, k2);
+    EXPECT_EQ(cache.entries(), (std::vector<Fingerprint>{f1, f2}));
+    EXPECT_EQ(cache.entries(1), (std::vector<Fingerprint>{f2}));
+    EXPECT_TRUE(cache.entries(2).empty());
 }
 
 /**
@@ -131,7 +141,7 @@ TEST(RunCache, ConcurrentDuplicateSubmissionsRunOnce)
         threads.emplace_back([&, t] {
             for (unsigned round = 0; round < rounds; ++round)
                 for (const KernelDesc &k : kernels)
-                    seen[t].push_back(&cache.result(cfg, k));
+                    seen[t].push_back(&cache.submit(cfg, k).get());
         });
     }
     for (auto &th : threads)

@@ -337,8 +337,8 @@ TEST(FastForwardGolden, DriverMatrixUnderParallelExecutor)
     }
     EXPECT_EQ(cache.misses(), 4u);
     for (const auto &k : kernels)
-        expectBitIdentical(cache.result(queued, k),
-                           cache.result(naive, k), k.name);
+        expectBitIdentical(cache.submit(queued, k).get(),
+                           cache.submit(naive, k).get(), k.name);
 }
 
 } // namespace

@@ -27,6 +27,21 @@ function(run_step expect_status)
     endif()
 endfunction()
 
+# A refused --only list: exit 1, and one stderr line naming the
+# problem. The list is one quoted argument, so "" reaches the program.
+function(only_refused list named)
+    execute_process(COMMAND ${MTP_CAMPAIGN} --smoke --quiet
+        --skip-volatile --only "${list}" --out ${PARTIAL}
+        RESULT_VARIABLE status OUTPUT_QUIET ERROR_VARIABLE err)
+    if(NOT status EQUAL 1)
+        message(FATAL_ERROR "--only '${list}' exited ${status}, expected 1")
+    endif()
+    if(NOT err MATCHES "^fatal: [^\n]*${named}[^\n]*\n$")
+        message(FATAL_ERROR "--only '${list}' did not print one line "
+            "naming '${named}':\n${err}")
+    endif()
+endfunction()
+
 # 1. The reduced campaign: every deterministic figure at 1/64 scale on
 #    a class-covering benchmark subset. --skip-volatile keeps the
 #    wall-clock harnesses out of a shared CI machine's test run.
@@ -63,10 +78,14 @@ run_step(1 ${MTP_CAMPAIGN} --smoke --quiet --skip-volatile
     --only tab03_characteristics)
 
 # 7. --host-profile-out is an unknown flag (--host-profile takes the
-#    FILE) and the watchdog needs a positive deadline. Both exit 1
-#    before anything simulates.
+#    FILE) and the watchdog needs a positive deadline. A figure list
+#    that names a figure twice, is empty or names an unknown figure is
+#    refused too. All exit 1 before anything simulates.
 run_step(1 ${MTP_CAMPAIGN} --smoke --quiet --skip-volatile
     --only tab03_characteristics --out ${PARTIAL}
     --host-profile-out ${HOST_PROFILE})
 run_step(1 ${MTP_CAMPAIGN} --smoke --quiet --skip-volatile
     --only tab03_characteristics --out ${PARTIAL} --watchdog-sec 0)
+only_refused("tab02_config,tab02_config" "tab02_config")
+only_refused("" "--only")
+only_refused("nosuch" "nosuch")

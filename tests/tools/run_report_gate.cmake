@@ -81,9 +81,11 @@ run_step(0 ${MTP_REPORT} diff ${GOLDEN} ${REGRESSED} --gate 50)
 
 # 7. Bad mtp-sim command lines exit 1 before simulating: unknown flags,
 #    among them --csv and --json (the --stats extension picks the
-#    format), and a time series that would have no samples.
+#    format), an unknown benchmark and a time series that would have
+#    no samples.
 set(SIM ${MTP_SIM} --bench stream --scale 64 --quiet)
 run_refused(1 "--bogus" ${SIM} --bogus)
+run_refused(1 "nosuch" ${MTP_SIM} --bench nosuch --scale 64 --quiet)
 run_refused(1 "--csv" ${SIM} --stats ${WORK_DIR}/report_gate_bad.csv --csv)
 run_refused(1 "--json" ${SIM} --stats ${WORK_DIR}/report_gate_bad.json --json)
 run_refused(1 "--sample-period" ${SIM}

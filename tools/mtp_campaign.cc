@@ -199,10 +199,7 @@ main(int argc, char **argv)
         {"--out", "FILE", "manifest path (default BENCH_campaign.json)",
          [&](const cli::Arg &a) { out = a.value; }},
         {"--only", "LIST", "run just these figures (comma list; needs --out)",
-         [&](const cli::Arg &a) {
-             for (std::string &name : a.list())
-                 only.push_back(std::move(name));
-         }},
+         [&](const cli::Arg &a) { only = a.list(); }},
         {"--list", "", "list the figures and exit",
          [&](const cli::Arg &) { list = true; }},
         {"--smoke", "", "the reduced CI campaign: scale 64, four benchmarks",

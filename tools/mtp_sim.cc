@@ -159,13 +159,14 @@ main(int argc, char **argv)
     // order; with any --jobs value the output is byte-identical.
     driver::ParallelExecutor exec(opts.jobs);
     driver::RunCache cache(exec);
+    std::vector<std::shared_future<RunResult>> runs;
     for (std::size_t i = 0; i < kernels.size(); ++i)
-        cache.submit(cfg, kernels[i], obsFor(i));
+        runs.push_back(cache.submit(cfg, kernels[i], obsFor(i)));
 
     bool first = true;
     for (std::size_t i = 0; i < kernels.size(); ++i) {
         const KernelDesc &kernel = kernels[i];
-        const RunResult &r = cache.result(cfg, kernel);
+        const RunResult &r = runs[i].get();
 
         if (!opts.quiet) {
             if (!first)
