@@ -101,8 +101,6 @@ hostCounters(const driver::RunCache &cache,
           "run-cache submissions served from an entry");
     s.add("host.cache.misses", static_cast<double>(cache.misses()),
           "distinct runs scheduled");
-    s.add("host.cache.evictions", static_cast<double>(cache.evictions()),
-          "entries discarded (0 by contract)");
     s.add("host.cache.entries", static_cast<double>(cache.size()),
           "distinct entries resident");
     s.add("host.exec.threads", static_cast<double>(exec.threads()),

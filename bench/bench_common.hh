@@ -161,9 +161,6 @@ class Runner
     /** Runs stolen across worker deques (load-imbalance telemetry). */
     std::uint64_t steals() const { return exec_.steals(); }
 
-    /** Cache entries discarded (always 0; see RunCache::evictions). */
-    std::uint64_t cacheEvictions() const { return cache_.evictions(); }
-
     /** The host.* counters (hostCounters()). */
     StatSet hostCounters() const { return bench::hostCounters(cache_, exec_); }
 

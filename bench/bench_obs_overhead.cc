@@ -124,26 +124,28 @@ main(int argc, char **argv)
                     hostProfPct);
     }
 
-    std::string header;
+    std::string text;
+    json::Writer doc(text);
+    doc.beginObject().field("bench", "obs_overhead").field("volatile", true);
     bench::appendProvenance(
-        header,
-        bench::collectProvenance(opts.scaleDiv, cfg.throttlePeriod,
-                                 opts.overrides),
-        1);
-    std::ofstream os(out);
-    os << "{\n  \"bench\": \"obs_overhead\",\n  \"volatile\": true,\n"
-       << header << ",\n  \"workload\": \"stream\",\n  \"scaleDiv\": "
-       << opts.scaleDiv
-       << ",\n  \"reps\": " << reps << ",\n  \"cycles\": " << warm.cycles
-       << ",\n  \"disabledSeconds\": " << disabledSec
-       << ",\n  \"disabledKcyclesPerSec\": "
-       << kcyclesPerSec(warm.cycles, disabledSec)
-       << ",\n  \"enabledSeconds\": " << enabledSec
-       << ",\n  \"enabledKcyclesPerSec\": "
-       << kcyclesPerSec(warm.cycles, enabledSec)
-       << ",\n  \"enabledOverheadPct\": " << enabledPct
-       << ",\n  \"hostProfileSeconds\": " << hostProfSec
-       << ",\n  \"hostProfileOverheadPct\": " << hostProfPct << "\n}\n";
+        doc, bench::collectProvenance(opts.scaleDiv, cfg.throttlePeriod,
+                                    opts.overrides));
+    doc.field("workload", "stream")
+        .field("scaleDiv", opts.scaleDiv)
+        .field("reps", reps)
+        .field("cycles", warm.cycles)
+        .field("disabledSeconds", disabledSec)
+        .field("disabledKcyclesPerSec",
+               kcyclesPerSec(warm.cycles, disabledSec))
+        .field("enabledSeconds", enabledSec)
+        .field("enabledKcyclesPerSec",
+               kcyclesPerSec(warm.cycles, enabledSec))
+        .field("enabledOverheadPct", enabledPct)
+        .field("hostProfileSeconds", hostProfSec)
+        .field("hostProfileOverheadPct", hostProfPct)
+        .endObject();
+    text += '\n';
+    std::ofstream(out) << text;
     if (!opts.quiet)
         std::printf("wrote %s\n", out.c_str());
     return 0;

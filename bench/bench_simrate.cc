@@ -220,28 +220,28 @@ void
 writeJson(const std::string &path, const bench::Options &opts,
           const std::vector<Measurement> &rows, double geomeanSpeedup)
 {
-    unsigned scaleDiv = opts.scaleDiv;
-    std::string header;
-    bench::appendProvenance(header, bench::collectProvenance(opts), 1);
-    std::ofstream os(path);
-    os << "{\n  \"bench\": \"simrate\",\n  \"volatile\": true,\n"
-       << header << ",\n  \"scaleDiv\": " << scaleDiv
-       << ",\n  \"workloads\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const Measurement &m = rows[i];
-        os << "    {\"name\": \"" << m.name << "\", \"cycles\": "
-           << m.cycles << ", \"warpInsts\": " << m.warpInsts
-           << ", \"naiveSeconds\": " << m.naiveSeconds
-           << ", \"fastSeconds\": " << m.fastSeconds
-           << ", \"naiveKcyclesPerSec\": "
-           << kcyclesPerSec(m.cycles, m.naiveSeconds)
-           << ", \"fastKcyclesPerSec\": "
-           << kcyclesPerSec(m.cycles, m.fastSeconds)
-           << ", \"speedup\": " << m.speedup << ", \"identical\": "
-           << (m.identical ? "true" : "false") << "}"
-           << (i + 1 < rows.size() ? "," : "") << "\n";
-    }
-    os << "  ],\n  \"geomeanSpeedup\": " << geomeanSpeedup << "\n}\n";
+    std::string out;
+    json::Writer w(out);
+    w.beginObject().field("bench", "simrate").field("volatile", true);
+    bench::appendProvenance(w, bench::collectProvenance(opts));
+    w.field("scaleDiv", opts.scaleDiv).key("workloads").beginArray();
+    for (const Measurement &m : rows)
+        w.beginObject(json::Layout::Inline)
+            .field("name", m.name)
+            .field("cycles", m.cycles)
+            .field("warpInsts", m.warpInsts)
+            .field("naiveSeconds", m.naiveSeconds)
+            .field("fastSeconds", m.fastSeconds)
+            .field("naiveKcyclesPerSec",
+                   kcyclesPerSec(m.cycles, m.naiveSeconds))
+            .field("fastKcyclesPerSec",
+                   kcyclesPerSec(m.cycles, m.fastSeconds))
+            .field("speedup", m.speedup)
+            .field("identical", m.identical)
+            .endObject();
+    w.endArray().field("geomeanSpeedup", geomeanSpeedup).endObject();
+    out += '\n';
+    std::ofstream(path) << out;
 }
 
 } // namespace

@@ -1,11 +1,6 @@
 #include "bench/campaign.hh"
 
-#include <array>
-#include <charconv>
-#include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <unistd.h>
 
 #include "bench/harnesses.hh"
 
@@ -330,8 +325,6 @@ runCampaign(const Options &opts, const std::vector<std::string> &only,
     res.cacheHits = runner.cacheHits();
     res.cacheMisses = runner.cacheMisses();
     res.steals = runner.steals();
-    res.cacheEvictions = runner.cacheEvictions();
-    res.executorThreads = runner.jobs();
     res.hostCounters = runner.hostCounters();
     res.runsPerSec = res.wallSeconds > 0.0
                          ? static_cast<double>(res.runsExecuted) /
@@ -344,217 +337,56 @@ runCampaign(const Options &opts, const std::vector<std::string> &only,
 
 // --- JSON emission ------------------------------------------------------
 
-namespace {
-
-// Short local names for the shared emit helpers (bench/provenance.hh).
-void
-appendIndent(std::string &out, int indent)
-{
-    appendJsonIndent(out, indent);
-}
-
-void
-appendString(std::string &out, const std::string &s)
-{
-    appendJsonString(out, s);
-}
-
-} // namespace
-
 void
 writeJsonValue(std::string &out, const obs::JsonValue &v, int indent)
 {
-    using Kind = obs::JsonValue::Kind;
-    switch (v.kind) {
-    case Kind::Null:
-        out += "null";
-        break;
-    case Kind::Bool:
-        out += v.boolean ? "true" : "false";
-        break;
-    case Kind::Number:
-        appendJsonNumber(out, v.number);
-        break;
-    case Kind::String:
-        appendString(out, v.str);
-        break;
-    case Kind::Array: {
-        if (v.array.empty()) {
-            out += "[]";
-            break;
-        }
-        out += "[\n";
-        for (std::size_t i = 0; i < v.array.size(); ++i) {
-            appendIndent(out, indent + 1);
-            writeJsonValue(out, v.array[i], indent + 1);
-            if (i + 1 < v.array.size())
-                out += ',';
-            out += '\n';
-        }
-        appendIndent(out, indent);
-        out += ']';
-        break;
-    }
-    case Kind::Object: {
-        if (v.object.empty()) {
-            out += "{}";
-            break;
-        }
-        out += "{\n";
-        std::size_t i = 0;
-        for (const auto &[key, value] : v.object) {
-            appendIndent(out, indent + 1);
-            appendString(out, key);
-            out += ": ";
-            writeJsonValue(out, value, indent + 1);
-            if (++i < v.object.size())
-                out += ',';
-            out += '\n';
-        }
-        appendIndent(out, indent);
-        out += '}';
-        break;
-    }
-    }
+    json::Writer w(out, json::Layout::Pretty, indent);
+    v.write(w);
 }
 
 namespace {
 
 void
-appendStringArray(std::string &out, const std::vector<std::string> &v,
-                  int indent)
+writeTable(json::Writer &w, const Table &t)
 {
-    if (v.empty()) {
-        out += "[]";
-        return;
+    w.beginObject().field("name", t.name).field("columns", t.columns);
+    w.key("rows").beginArray();
+    for (const auto &row : t.rows) {
+        // One line per row, keyed by column name.
+        w.beginObject(json::Layout::Inline);
+        for (std::size_t c = 0; c < row.size() && c < t.columns.size();
+             ++c) {
+            w.key(t.columns[c]);
+            if (row[c].kind == Cell::Kind::Number)
+                w.value(row[c].num);
+            else
+                w.value(row[c].text);
+        }
+        w.endObject();
     }
-    out += "[\n";
-    for (std::size_t i = 0; i < v.size(); ++i) {
-        appendIndent(out, indent + 1);
-        appendString(out, v[i]);
-        if (i + 1 < v.size())
-            out += ',';
-        out += '\n';
-    }
-    appendIndent(out, indent);
-    out += ']';
+    w.endArray().endObject();
 }
 
 void
-appendTableJson(std::string &out, const Table &t, int indent)
+writeFigure(json::Writer &w, const FigureRun &f)
 {
-    appendIndent(out, indent);
-    out += "{\n";
-    appendIndent(out, indent + 1);
-    out += "\"name\": ";
-    appendString(out, t.name);
-    out += ",\n";
-    appendIndent(out, indent + 1);
-    out += "\"columns\": ";
-    appendStringArray(out, t.columns, indent + 1);
-    out += ",\n";
-    appendIndent(out, indent + 1);
-    out += "\"rows\": [";
-    if (t.rows.empty()) {
-        out += "]\n";
-    } else {
-        out += '\n';
-        for (std::size_t r = 0; r < t.rows.size(); ++r) {
-            const auto &row = t.rows[r];
-            appendIndent(out, indent + 2);
-            out += '{';
-            for (std::size_t c = 0;
-                 c < row.size() && c < t.columns.size(); ++c) {
-                if (c)
-                    out += ", ";
-                appendString(out, t.columns[c]);
-                out += ": ";
-                if (row[c].kind == Cell::Kind::Number)
-                    appendJsonNumber(out, row[c].num);
-                else
-                    appendString(out, row[c].text);
-            }
-            out += '}';
-            if (r + 1 < t.rows.size())
-                out += ',';
-            out += '\n';
-        }
-        appendIndent(out, indent + 1);
-        out += "]\n";
-    }
-    appendIndent(out, indent);
-    out += '}';
-}
-
-void
-appendFigureJson(std::string &out, const CampaignSpec &spec,
-                 const FigureResult &r,
-                 const std::vector<std::string> &fingerprints,
-                 int indent)
-{
-    appendIndent(out, indent);
-    out += "{\n";
-    appendIndent(out, indent + 1);
-    out += "\"name\": ";
-    appendString(out, spec.name);
-    out += ",\n";
-    appendIndent(out, indent + 1);
-    out += "\"title\": ";
-    appendString(out, spec.title);
-    out += ",\n";
-    appendIndent(out, indent + 1);
-    out += "\"anchor\": ";
-    appendString(out, spec.anchor);
-    out += ",\n";
-    appendIndent(out, indent + 1);
-    out += "\"volatile\": false,\n";
-    appendIndent(out, indent + 1);
-    out += "\"runs\": ";
-    out += std::to_string(fingerprints.size());
-    out += ",\n";
-    appendIndent(out, indent + 1);
-    out += "\"fingerprints\": ";
-    appendStringArray(out, fingerprints, indent + 1);
-    out += ",\n";
-    appendIndent(out, indent + 1);
-    out += "\"tables\": [";
-    if (r.tables.empty()) {
-        out += "],\n";
-    } else {
-        out += '\n';
-        for (std::size_t i = 0; i < r.tables.size(); ++i) {
-            appendTableJson(out, r.tables[i], indent + 2);
-            if (i + 1 < r.tables.size())
-                out += ',';
-            out += '\n';
-        }
-        appendIndent(out, indent + 1);
-        out += "],\n";
-    }
-    appendIndent(out, indent + 1);
-    out += "\"summary\": {";
-    if (r.summary.empty()) {
-        out += "},\n";
-    } else {
-        out += '\n';
-        for (std::size_t i = 0; i < r.summary.size(); ++i) {
-            appendIndent(out, indent + 2);
-            appendString(out, r.summary[i].first);
-            out += ": ";
-            appendJsonNumber(out, r.summary[i].second);
-            if (i + 1 < r.summary.size())
-                out += ',';
-            out += '\n';
-        }
-        appendIndent(out, indent + 1);
-        out += "},\n";
-    }
-    appendIndent(out, indent + 1);
-    out += "\"notes\": ";
-    appendStringArray(out, r.notes, indent + 1);
-    out += '\n';
-    appendIndent(out, indent);
-    out += '}';
+    const FigureResult &r = f.result;
+    w.beginObject()
+        .field("name", f.spec->name)
+        .field("title", f.spec->title)
+        .field("anchor", f.spec->anchor)
+        .field("volatile", false)
+        .field("runs", f.fingerprints.size())
+        .field("fingerprints", f.fingerprints);
+    w.key("tables").beginArray();
+    for (const Table &t : r.tables)
+        writeTable(w, t);
+    w.endArray();
+    w.key("summary").beginObject();
+    for (const auto &[name, value] : r.summary)
+        w.field(name, value);
+    w.endObject();
+    w.field("notes", r.notes).endObject();
 }
 
 } // namespace
@@ -564,115 +396,41 @@ writeManifest(std::ostream &os, const CampaignResult &res,
               bool includeSession)
 {
     std::string out;
-    out += "{\n";
-    appendIndent(out, 1);
-    out += "\"schema\": \"mtp-campaign-v1\",\n";
-    appendProvenance(out, res.provenance, 1);
-    out += ",\n";
+    json::Writer w(out);
+    w.beginObject().field("schema", "mtp-campaign-v1");
+    appendProvenance(w, res.provenance);
     if (includeSession) {
-        appendIndent(out, 1);
-        out += "\"session\": {\n";
-        appendIndent(out, 2);
-        out += "\"jobs\": " + std::to_string(res.jobs) + ",\n";
-        appendIndent(out, 2);
-        out += "\"wallSeconds\": ";
-        appendJsonNumber(out, res.wallSeconds);
-        out += ",\n";
-        appendIndent(out, 2);
-        out +=
-            "\"runsExecuted\": " + std::to_string(res.runsExecuted) +
-            ",\n";
-        appendIndent(out, 2);
-        out += "\"cacheHits\": " + std::to_string(res.cacheHits) +
-               ",\n";
-        appendIndent(out, 2);
-        out += "\"cacheMisses\": " + std::to_string(res.cacheMisses) +
-               ",\n";
-        appendIndent(out, 2);
-        out += "\"cacheEvictions\": " +
-               std::to_string(res.cacheEvictions) + ",\n";
-        appendIndent(out, 2);
-        out += "\"steals\": " + std::to_string(res.steals) + ",\n";
-        appendIndent(out, 2);
-        out += "\"executorThreads\": " +
-               std::to_string(res.executorThreads) + ",\n";
-        appendIndent(out, 2);
-        out += "\"runsPerSec\": ";
-        appendJsonNumber(out, res.runsPerSec);
-        out += ",\n";
-        appendIndent(out, 2);
-        out += "\"figureWallSeconds\": {";
-        std::size_t entries =
-            res.figures.size() + res.rawFigures.size();
-        if (entries == 0) {
-            out += "}\n";
-        } else {
-            out += '\n';
-            std::size_t i = 0;
-            auto one = [&](const std::string &name, double secs) {
-                appendIndent(out, 3);
-                appendString(out, name);
-                out += ": ";
-                appendJsonNumber(out, secs);
-                if (++i < entries)
-                    out += ',';
-                out += '\n';
-            };
-            for (const auto &f : res.figures)
-                one(f.spec->name, f.wallSeconds);
-            for (const auto &f : res.rawFigures)
-                one(f.name, f.wallSeconds);
-            appendIndent(out, 2);
-            out += "}\n";
-        }
-        appendIndent(out, 1);
-        out += "},\n";
+        w.key("session")
+            .beginObject()
+            .field("jobs", res.jobs)
+            .field("wallSeconds", res.wallSeconds)
+            .field("runsExecuted", res.runsExecuted)
+            .field("cacheHits", res.cacheHits)
+            .field("cacheMisses", res.cacheMisses)
+            .field("steals", res.steals)
+            .field("runsPerSec", res.runsPerSec);
+        w.key("figureWallSeconds").beginObject();
+        for (const auto &f : res.figures)
+            w.field(f.spec->name, f.wallSeconds);
+        for (const auto &f : res.rawFigures)
+            w.field(f.name, f.wallSeconds);
+        w.endObject().endObject();
     }
-    appendIndent(out, 1);
-    out += "\"figures\": [";
-    std::size_t total = res.figures.size() + res.rawFigures.size();
-    if (total == 0) {
-        out += "]\n";
-    } else {
-        out += '\n';
-        std::size_t i = 0;
-        for (const auto &f : res.figures) {
-            appendFigureJson(out, *f.spec, f.result, f.fingerprints, 2);
-            if (++i < total)
-                out += ',';
-            out += '\n';
-        }
-        for (const auto &f : res.rawFigures) {
-            appendIndent(out, 2);
-            out += "{\n";
-            appendIndent(out, 3);
-            out += "\"name\": ";
-            appendString(out, f.name);
-            out += ",\n";
-            appendIndent(out, 3);
-            out += "\"title\": ";
-            appendString(out, f.title);
-            out += ",\n";
-            appendIndent(out, 3);
-            out += "\"anchor\": ";
-            appendString(out, f.anchor);
-            out += ",\n";
-            appendIndent(out, 3);
-            out += "\"volatile\": true,\n";
-            appendIndent(out, 3);
-            out += "\"raw\": ";
-            writeJsonValue(out, f.raw, 3);
-            out += '\n';
-            appendIndent(out, 2);
-            out += '}';
-            if (++i < total)
-                out += ',';
-            out += '\n';
-        }
-        appendIndent(out, 1);
-        out += "]\n";
+    w.key("figures").beginArray();
+    for (const auto &f : res.figures)
+        writeFigure(w, f);
+    for (const auto &f : res.rawFigures) {
+        w.beginObject()
+            .field("name", f.name)
+            .field("title", f.title)
+            .field("anchor", f.anchor)
+            .field("volatile", true)
+            .key("raw");
+        f.raw.write(w);
+        w.endObject();
     }
-    out += "}\n";
+    w.endArray().endObject();
+    out += '\n';
     os << out;
 }
 

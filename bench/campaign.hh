@@ -11,9 +11,8 @@
  *
  * Determinism contract: the manifest body (provenance + figures) is a
  * pure function of the configuration — figure tables come from
- * bit-identical simulations, and all JSON numbers are written with
- * locale-independent std::to_chars — so it is byte-identical across
- * --jobs.
+ * bit-identical simulations, and common/json_writer.hh spells every
+ * number locale-independently — so it is byte-identical across --jobs.
  * Wall-clock and cache statistics, which legitimately vary, live in a
  * separate "session" block that the diff gate ignores and that
  * --no-session omits entirely.
@@ -221,8 +220,6 @@ struct CampaignResult
     // Host-side scheduling telemetry (DESIGN.md §12). Session data:
     // legitimately varies run to run, excluded from the diff gate.
     std::uint64_t steals = 0;
-    std::uint64_t cacheEvictions = 0;
-    unsigned executorThreads = 0;
     double runsPerSec = 0.0;
     StatSet hostCounters; //!< the Runner's host.* counters (hostCounters())
     std::vector<FigureRun> figures;
@@ -313,8 +310,8 @@ runCampaign(const Options &opts, const std::vector<std::string> &only,
 void writeManifest(std::ostream &os, const CampaignResult &res,
                    bool includeSession);
 
-/** Re-serialize a parsed JSON value with the campaign formatting.
- *  (appendJsonNumber / appendProvenance live in bench/provenance.hh.) */
+/** Re-serialize a parsed JSON value in the manifest's pretty layout,
+ *  its first line at @p indent. */
 void writeJsonValue(std::string &out, const obs::JsonValue &v,
                     int indent);
 

@@ -1,10 +1,10 @@
 /**
  * @file
  * The reproducibility header shared by every campaign-path JSON
- * artifact, plus the low-level JSON append helpers it is built from.
- * Part of the mtp_bench_common library, so every harness, the campaign
- * manifest and the repository benchmark (perfbench/) emit the same
- * provenance block.
+ * artifact. Part of the mtp_bench_common library, so every harness,
+ * the campaign manifest and the repository benchmark (perfbench/) emit
+ * the same provenance block. appendJsonString and appendJsonNumber
+ * forward to common/json_writer.hh for perfbench/.
  */
 
 #ifndef MTP_BENCH_PROVENANCE_HH
@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json_writer.hh"
 #include "common/types.hh"
 
 namespace mtp {
@@ -41,18 +42,22 @@ Provenance collectProvenance(unsigned scaleDiv, Cycle throttlePeriod,
                              std::vector<std::string> overrides = {},
                              std::vector<std::string> benchFilter = {});
 
-/** Append @p indent levels of 2-space indentation. */
-void appendJsonIndent(std::string &out, int indent);
-
 /** Append a quoted, escaped JSON string literal. */
-void appendJsonString(std::string &out, const std::string &s);
+inline void
+appendJsonString(std::string &out, const std::string &s)
+{
+    json::appendString(out, s);
+}
 
 /** Append one JSON number, locale-independent (std::to_chars). */
-void appendJsonNumber(std::string &out, double v);
+inline void
+appendJsonNumber(std::string &out, double v)
+{
+    json::appendNumber(out, v);
+}
 
-/** Append the `"provenance": {...}` member (no trailing comma). */
-void appendProvenance(std::string &out, const Provenance &p,
-                      int indent);
+/** Write the `"provenance": {...}` member into the open object. */
+void appendProvenance(json::Writer &w, const Provenance &p);
 
 } // namespace bench
 } // namespace mtp

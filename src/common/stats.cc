@@ -1,12 +1,10 @@
 #include "common/stats.hh"
 
 #include <algorithm>
-#include <array>
-#include <charconv>
-#include <cmath>
 #include <iomanip>
 #include <ostream>
 
+#include "common/json_writer.hh"
 #include "common/log.hh"
 
 namespace mtp {
@@ -105,59 +103,6 @@ writeCsvField(std::ostream &os, const std::string &field)
     os << '"';
 }
 
-/** Minimal JSON string escaping for stat names/descriptions. */
-void
-writeJsonString(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            os << "\\\"";
-            break;
-          case '\\':
-            os << "\\\\";
-            break;
-          case '\n':
-            os << "\\n";
-            break;
-          case '\r':
-            os << "\\r";
-            break;
-          case '\t':
-            os << "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                const char *hex = "0123456789abcdef";
-                os << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
-            } else {
-                os << c;
-            }
-            break;
-        }
-    }
-    os << '"';
-}
-
-/**
- * Shortest round-trippable decimal form of @p v, independent of any
- * imbued stream locale (std::to_chars never localizes). Non-finite
- * values have no JSON representation and become null.
- */
-void
-writeJsonNumber(std::ostream &os, double v)
-{
-    if (!std::isfinite(v)) {
-        os << "null";
-        return;
-    }
-    std::array<char, 64> buf;
-    auto res = std::to_chars(buf.data(), buf.data() + buf.size(), v);
-    MTP_ASSERT(res.ec == std::errc{}, "double-to_chars overflow");
-    os.write(buf.data(), res.ptr - buf.data());
-}
-
 } // namespace
 
 void
@@ -175,21 +120,18 @@ StatSet::dumpCsv(std::ostream &os) const
 void
 StatSet::dumpJson(std::ostream &os) const
 {
-    os << "{\n";
-    bool first = true;
-    for (const auto &e : entries_) {
-        if (!first)
-            os << ",\n";
-        first = false;
-        os << "  ";
-        writeJsonString(os, e.name);
-        os << ": {\"value\": ";
-        writeJsonNumber(os, e.value);
-        os << ", \"desc\": ";
-        writeJsonString(os, e.desc);
-        os << '}';
-    }
-    os << "\n}\n";
+    std::string out;
+    json::Writer w(out);
+    w.beginObject();
+    for (const auto &e : entries_)
+        w.key(e.name)
+            .beginObject(json::Layout::Inline)
+            .field("value", e.value)
+            .field("desc", e.desc)
+            .endObject();
+    w.endObject();
+    out += '\n';
+    os << out;
 }
 
 Histogram::Histogram(double lo, double hi, unsigned nbuckets)

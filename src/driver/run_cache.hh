@@ -74,16 +74,6 @@ class RunCache
     /** Submissions served from an existing entry. */
     std::uint64_t hits() const { return hits_.load(); }
 
-    /**
-     * Entries discarded to bound memory. Always 0: submit() hands out
-     * handles whose results must stay valid for the cache's lifetime,
-     * so the cache never evicts by contract. Exposed anyway so
-     * host-side telemetry (host.cache.*) reports the full
-     * hit/miss/eviction triple and a future bounded cache changes one
-     * number, not the schema.
-     */
-    std::uint64_t evictions() const { return 0; }
-
     /** Number of distinct entries. */
     std::size_t size() const;
 

@@ -124,6 +124,7 @@ MemSystem::deliverRequests(Cycle now)
                 // Inter-core merge: two in-transit requests became one.
                 // The surviving buffered request keeps its own
                 // DramEnqueue timestamp; no new lifecycle stage.
+                MTP_OBS_HOOK(tracer_, merged(addr, type, origin, ch, now));
                 MTP_ASSERT(inTransit_ > 0, "in-transit underflow on merge");
                 --inTransit_;
             } else {

@@ -9,8 +9,8 @@
 #include <mutex>
 #include <thread>
 
+#include "common/json_writer.hh"
 #include "obs/host_profiler.hh"
-#include "obs/json.hh"
 
 namespace mtp {
 namespace obs {
@@ -116,43 +116,46 @@ FlightRecorder::dump(int fd)
 void
 FlightRecorder::dumpJsonl(std::FILE *f, const char *reason)
 {
-    std::fprintf(f,
-                 "{\"type\":\"flight.dump\",\"reason\":\"%s\","
-                 "\"beats\":%llu}\n",
-                 jsonEscape(reason).c_str(),
-                 static_cast<unsigned long long>(beats()));
+    std::string out;
+    json::Writer(out, json::Layout::Compact)
+        .beginObject()
+        .field("type", "flight.dump")
+        .field("reason", reason)
+        .field("beats", beats())
+        .endObject();
+    out += '\n';
     for (int i = 0; i < kGaugeSlots; ++i) {
         if (g_gauges[i].state.load(std::memory_order_acquire) != kLive)
             continue;
         char name[kGaugeNameLen];
         readGaugeName(g_gauges[i], name);
-        std::fprintf(f,
-                     "{\"type\":\"flight.gauge\",\"name\":\"%s\","
-                     "\"value\":%llu}\n",
-                     jsonEscape(name).c_str(),
-                     static_cast<unsigned long long>(
-                         g_gauges[i].value.load(
-                             std::memory_order_relaxed)));
+        json::Writer(out, json::Layout::Compact)
+            .beginObject()
+            .field("type", "flight.gauge")
+            .field("name", name)
+            .field("value",
+                   g_gauges[i].value.load(std::memory_order_relaxed))
+            .endObject();
+        out += '\n';
     }
     HostProfiler::Snapshot snap = HostProfiler::snapshot(true);
     for (const auto &t : snap.threads) {
-        std::fprintf(f,
-                     "{\"type\":\"flight.thread\",\"name\":\"%s\","
-                     "\"events\":[",
-                     jsonEscape(t.name).c_str());
+        json::Writer w(out, json::Layout::Compact);
+        w.beginObject().field("type", "flight.thread").field("name", t.name);
+        w.key("events").beginArray();
         // Last few events are what matters for a hang; cap the line.
         std::size_t first =
             t.events.size() > 32 ? t.events.size() - 32 : 0;
-        for (std::size_t k = first; k < t.events.size(); ++k) {
-            const auto &ev = t.events[k];
-            std::fprintf(
-                f, "%s{\"phase\":\"%s\",\"startNs\":%llu,\"durNs\":%llu}",
-                k == first ? "" : ",", toString(ev.phase),
-                static_cast<unsigned long long>(ev.startNs),
-                static_cast<unsigned long long>(ev.durNs));
-        }
-        std::fprintf(f, "]}\n");
+        for (std::size_t k = first; k < t.events.size(); ++k)
+            w.beginObject()
+                .field("phase", toString(t.events[k].phase))
+                .field("startNs", t.events[k].startNs)
+                .field("durNs", t.events[k].durNs)
+                .endObject();
+        w.endArray().endObject();
+        out += '\n';
     }
+    std::fwrite(out.data(), 1, out.size(), f);
 }
 
 namespace {

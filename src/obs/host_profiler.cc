@@ -6,7 +6,7 @@
 #include <cstring>
 #include <mutex>
 
-#include "obs/json.hh"
+#include "common/json_writer.hh"
 
 namespace mtp {
 namespace obs {
@@ -358,37 +358,45 @@ writeHostProfileJsonl(
     std::uint64_t wallNs = snap.takenAtNs > snap.enabledAtNs
                                ? snap.takenAtNs - snap.enabledAtNs
                                : 0;
-    std::fprintf(f,
-                 "{\"type\":\"host.meta\",\"enabledNs\":%llu,"
-                 "\"wallNs\":%llu,\"threads\":%zu}\n",
-                 static_cast<unsigned long long>(snap.enabledAtNs),
-                 static_cast<unsigned long long>(wallNs),
-                 snap.threads.size());
+    std::string out;
+    json::Writer(out, json::Layout::Compact)
+        .beginObject()
+        .field("type", "host.meta")
+        .field("enabledNs", snap.enabledAtNs)
+        .field("wallNs", wallNs)
+        .field("threads", snap.threads.size())
+        .endObject();
+    out += '\n';
     for (const auto &t : snap.threads) {
-        std::fprintf(f,
-                     "{\"type\":\"host.thread\",\"name\":\"%s\","
-                     "\"activeNs\":%llu,\"waitNs\":%llu,\"phases\":{",
-                     jsonEscape(t.name).c_str(),
-                     static_cast<unsigned long long>(t.activeNs),
-                     static_cast<unsigned long long>(t.waitNs));
-        bool first = true;
+        json::Writer w(out, json::Layout::Compact);
+        w.beginObject()
+            .field("type", "host.thread")
+            .field("name", t.name)
+            .field("activeNs", t.activeNs)
+            .field("waitNs", t.waitNs);
+        w.key("phases").beginObject();
         for (int p = 0; p < kNumHostPhases; ++p) {
             if (!t.phaseCount[p])
                 continue;
-            std::fprintf(f, "%s\"%s\":{\"ns\":%llu,\"count\":%llu}",
-                         first ? "" : ",",
-                         toString(static_cast<HostPhase>(p)),
-                         static_cast<unsigned long long>(t.phaseNs[p]),
-                         static_cast<unsigned long long>(t.phaseCount[p]));
-            first = false;
+            w.key(toString(static_cast<HostPhase>(p)))
+                .beginObject()
+                .field("ns", t.phaseNs[p])
+                .field("count", t.phaseCount[p])
+                .endObject();
         }
-        std::fprintf(f, "}}\n");
+        w.endObject().endObject();
+        out += '\n';
     }
-    for (const auto &c : counters)
-        std::fprintf(f,
-                     "{\"type\":\"host.counter\",\"name\":\"%s\","
-                     "\"value\":%.17g}\n",
-                     jsonEscape(c.first).c_str(), c.second);
+    for (const auto &[name, value] : counters) {
+        json::Writer(out, json::Layout::Compact)
+            .beginObject()
+            .field("type", "host.counter")
+            .field("name", name)
+            .field("value", value)
+            .endObject();
+        out += '\n';
+    }
+    std::fwrite(out.data(), 1, out.size(), f);
 }
 
 } // namespace obs

@@ -1,48 +1,10 @@
 #include "obs/json.hh"
 
 #include <cctype>
-#include <cstdio>
 #include <cstdlib>
 
 namespace mtp {
 namespace obs {
-
-std::string
-jsonEscape(std::string_view s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(c) & 0xff);
-                out += buf;
-            } else {
-                out += c;
-            }
-            break;
-        }
-    }
-    return out;
-}
 
 const JsonValue *
 JsonValue::find(const std::string &key) const
@@ -51,6 +13,39 @@ JsonValue::find(const std::string &key) const
         return nullptr;
     auto it = object.find(key);
     return it == object.end() ? nullptr : &it->second;
+}
+
+void
+JsonValue::write(json::Writer &w) const
+{
+    switch (kind) {
+      case Kind::Null:
+        w.null();
+        break;
+      case Kind::Bool:
+        w.value(boolean);
+        break;
+      case Kind::Number:
+        w.value(number);
+        break;
+      case Kind::String:
+        w.value(str);
+        break;
+      case Kind::Array:
+        w.beginArray();
+        for (const JsonValue &element : array)
+            element.write(w);
+        w.endArray();
+        break;
+      case Kind::Object:
+        w.beginObject();
+        for (const auto &[key, member] : object) {
+            w.key(key);
+            member.write(w);
+        }
+        w.endObject();
+        break;
+    }
 }
 
 namespace {

@@ -1,9 +1,9 @@
 /**
  * @file
- * Minimal JSON support for the observability layer: string escaping for
- * the writers and a small recursive-descent parser used to validate
- * generated Chrome trace-event files in tests and tooling (no external
- * JSON dependency is available in the build image).
+ * Minimal JSON reading for the observability layer: a small
+ * recursive-descent parser that validates generated Chrome trace-event
+ * files in tests and tooling and reads manifests back, so the build
+ * needs no JSON library. Writing goes through common/json_writer.hh.
  */
 
 #ifndef MTP_OBS_JSON_HH
@@ -15,11 +15,10 @@
 #include <string_view>
 #include <vector>
 
+#include "common/json_writer.hh"
+
 namespace mtp {
 namespace obs {
-
-/** Escape @p s for embedding between JSON double quotes. */
-std::string jsonEscape(std::string_view s);
 
 /** Parsed JSON value (tree-owning; good enough for validation). */
 struct JsonValue
@@ -41,6 +40,9 @@ struct JsonValue
 
     /** Object member lookup; nullptr when absent or not an object. */
     const JsonValue *find(const std::string &key) const;
+
+    /** Write this value through @p w (object keys in sorted order). */
+    void write(json::Writer &w) const;
 };
 
 /**

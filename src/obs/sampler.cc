@@ -51,9 +51,6 @@ Sampler::sample(Cycle now)
           case Kind::Gauge:
             value = cur;
             break;
-          case Kind::Counter:
-            value = cur - p.last;
-            break;
           case Kind::Rate:
             value = (cur - p.last) / static_cast<double>(period_);
             break;

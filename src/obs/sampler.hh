@@ -35,10 +35,9 @@ class Sampler
     /** How a probe's reading is turned into a sample value. */
     enum class Kind
     {
-        Gauge,   //!< instantaneous value at the boundary
-        Counter, //!< delta of a cumulative counter since last sample
-        Rate,    //!< delta / period (e.g. IPC)
-        Ratio,   //!< delta(fn) / delta(den), 0 when den is flat
+        Gauge, //!< instantaneous value at the boundary
+        Rate,  //!< delta / period (e.g. IPC)
+        Ratio, //!< delta(fn) / delta(den), 0 when den is flat
     };
 
     using Fn = std::function<double(Cycle)>;
@@ -48,8 +47,8 @@ class Sampler
      * @param name column name in the emitted time series
      * @param pid track id (trackForCore/trackForChannel/trackGlobal)
      * @param kind value transformation
-     * @param fn reads the underlying value (cumulative for
-     *        Counter/Rate/Ratio numerators)
+     * @param fn reads the underlying value (cumulative for Rate and
+     *        Ratio numerators)
      * @param den Ratio denominator reader; unused otherwise
      */
     void addProbe(std::string name, int pid, Kind kind, Fn fn,

@@ -1,36 +1,11 @@
 #include "obs/sink.hh"
 
-#include <cinttypes>
-#include <cstring>
-
 #include "common/log.hh"
-#include "obs/json.hh"
 
 namespace mtp {
 namespace obs {
 
 namespace {
-
-/** Shortest round-trippable representation of a double for JSON/CSV. */
-std::string
-formatDouble(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    double parsed = 0.0;
-    std::sscanf(buf, "%lf", &parsed);
-    if (parsed == v) {
-        // Try shorter forms; the first that round-trips wins.
-        for (int prec = 1; prec <= 16; ++prec) {
-            char s[40];
-            std::snprintf(s, sizeof(s), "%.*g", prec, v);
-            std::sscanf(s, "%lf", &parsed);
-            if (parsed == v)
-                return s;
-        }
-    }
-    return buf;
-}
 
 std::FILE *
 openOrDie(const std::string &path)
@@ -41,50 +16,33 @@ openOrDie(const std::string &path)
     return f;
 }
 
-/** Append the Chrome JSON body of @p ev (no surrounding braces). */
 void
-appendEventBody(std::string &out, const TraceEvent &ev)
+flush(std::FILE *f, std::string &buf)
 {
-    out += "\"name\":\"";
-    out += jsonEscape(ev.name);
-    out += "\",\"ph\":\"";
-    out += ev.ph;
-    out += "\",\"pid\":";
-    out += std::to_string(ev.pid);
-    out += ",\"tid\":";
-    out += std::to_string(ev.tid);
-    if (ev.ph != 'M') {
-        out += ",\"ts\":";
-        out += std::to_string(ev.ts);
-    }
-    if (ev.ph == 'X') {
-        out += ",\"dur\":";
-        out += std::to_string(ev.dur);
-    }
-    if (!ev.args.empty() || !ev.sargs.empty()) {
-        out += ",\"args\":{";
-        bool first = true;
-        for (const auto &[key, value] : ev.args) {
-            if (!first)
-                out += ',';
-            first = false;
-            out += '"';
-            out += jsonEscape(key);
-            out += "\":";
-            out += formatDouble(value);
-        }
-        for (const auto &[key, value] : ev.sargs) {
-            if (!first)
-                out += ',';
-            first = false;
-            out += '"';
-            out += jsonEscape(key);
-            out += "\":\"";
-            out += jsonEscape(value);
-            out += '"';
-        }
-        out += '}';
-    }
+    std::fwrite(buf.data(), 1, buf.size(), f);
+    buf.clear();
+}
+
+/** Write the Chrome trace-event members of @p ev (no braces). */
+void
+writeEvent(json::Writer &w, const TraceEvent &ev)
+{
+    w.field("name", ev.name)
+        .field("ph", std::string_view(&ev.ph, 1))
+        .field("pid", ev.pid)
+        .field("tid", ev.tid);
+    if (ev.ph != 'M')
+        w.field("ts", ev.ts);
+    if (ev.ph == 'X')
+        w.field("dur", ev.dur);
+    if (ev.args.empty() && ev.sargs.empty())
+        return;
+    w.key("args").beginObject();
+    for (const auto &[key, value] : ev.args)
+        w.field(key, value);
+    for (const auto &[key, value] : ev.sargs)
+        w.field(key, value);
+    w.endObject();
 }
 
 } // namespace
@@ -119,7 +77,7 @@ CsvTimeSeriesSink::sample(Cycle cycle, const std::vector<double> &values)
     std::string row = std::to_string(cycle);
     for (double v : values) {
         row += ',';
-        row += formatDouble(v);
+        json::appendNumber(row, v);
     }
     row += '\n';
     std::fwrite(row.data(), 1, row.size(), file_);
@@ -146,81 +104,71 @@ JsonlSink::~JsonlSink()
 }
 
 void
-JsonlSink::writeLine(const std::string &line)
+JsonlSink::endLine()
 {
-    std::fwrite(line.data(), 1, line.size(), file_);
+    buf_ += '\n';
+    flush(file_, buf_);
 }
 
 void
 JsonlSink::event(const TraceEvent &ev)
 {
-    std::string line = "{\"t\":\"event\",";
-    appendEventBody(line, ev);
-    line += "}\n";
-    writeLine(line);
+    json::Writer w(buf_, json::Layout::Compact);
+    w.beginObject().field("t", "event");
+    writeEvent(w, ev);
+    w.endObject();
+    endLine();
 }
 
 void
 JsonlSink::sampleSchema(const std::vector<SampleColumn> &columns)
 {
     columns_.clear();
-    std::string line = "{\"t\":\"schema\",\"columns\":[";
-    for (std::size_t i = 0; i < columns.size(); ++i) {
-        columns_.push_back(columns[i].name);
-        if (i)
-            line += ',';
-        line += '"';
-        line += jsonEscape(columns[i].name);
-        line += '"';
-    }
-    line += "]}\n";
-    writeLine(line);
+    for (const auto &col : columns)
+        columns_.push_back(col.name);
+    json::Writer(buf_, json::Layout::Compact)
+        .beginObject()
+        .field("t", "schema")
+        .field("columns", columns_)
+        .endObject();
+    endLine();
 }
 
 void
 JsonlSink::sample(Cycle cycle, const std::vector<double> &values)
 {
-    std::string line = "{\"t\":\"sample\",\"cycle\":";
-    line += std::to_string(cycle);
-    line += ",\"v\":{";
+    json::Writer w(buf_, json::Layout::Compact);
+    w.beginObject().field("t", "sample").field("cycle", cycle);
+    w.key("v").beginObject();
     for (std::size_t i = 0; i < values.size(); ++i) {
-        if (i)
-            line += ',';
-        line += '"';
-        line += i < columns_.size() ? jsonEscape(columns_[i])
-                                    : "col" + std::to_string(i);
-        line += "\":";
-        line += formatDouble(values[i]);
+        if (i < columns_.size())
+            w.key(columns_[i]);
+        else
+            w.key("col" + std::to_string(i));
+        w.value(values[i]);
     }
-    line += "}}\n";
-    writeLine(line);
+    w.endObject().endObject();
+    endLine();
 }
 
 void
 JsonlSink::histogram(const std::string &name, const Histogram &h)
 {
-    std::string line = "{\"t\":\"hist\",\"name\":\"";
-    line += jsonEscape(name);
-    line += "\",\"count\":";
-    line += std::to_string(h.count());
-    line += ",\"mean\":";
-    line += formatDouble(h.mean());
-    line += ",\"min\":";
-    line += formatDouble(h.minValue());
-    line += ",\"max\":";
-    line += formatDouble(h.maxValue());
-    line += ",\"underflow\":";
-    line += std::to_string(h.underflow());
-    line += ",\"overflow\":";
-    line += std::to_string(h.overflow());
-    line += ",\"buckets\":[";
-    for (unsigned i = 0; i < h.buckets(); ++i) {
-        if (i)
-            line += ',';
-        line += std::to_string(h.bucketCount(i));
-    }
-    line += "]}\n";
-    writeLine(line);
+    json::Writer w(buf_, json::Layout::Compact);
+    w.beginObject()
+        .field("t", "hist")
+        .field("name", name)
+        .field("count", h.count())
+        .field("mean", h.mean())
+        .field("min", h.minValue())
+        .field("max", h.maxValue())
+        .field("underflow", h.underflow())
+        .field("overflow", h.overflow());
+    w.key("buckets").beginArray();
+    for (unsigned i = 0; i < h.buckets(); ++i)
+        w.value(h.bucketCount(i));
+    w.endArray().endObject();
+    endLine();
 }
 
 void
@@ -237,8 +185,8 @@ JsonlSink::close()
 ChromeTraceSink::ChromeTraceSink(const std::string &path)
     : file_(openOrDie(path))
 {
-    const char *head = "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
-    std::fwrite(head, 1, std::strlen(head), file_);
+    w_.beginObject().field("displayTimeUnit", "ns");
+    w_.key("traceEvents").beginArray();
 }
 
 ChromeTraceSink::~ChromeTraceSink()
@@ -247,24 +195,12 @@ ChromeTraceSink::~ChromeTraceSink()
 }
 
 void
-ChromeTraceSink::emit(const std::string &record)
-{
-    std::string out;
-    out.reserve(record.size() + 2);
-    if (!first_)
-        out += ",\n";
-    first_ = false;
-    out += record;
-    std::fwrite(out.data(), 1, out.size(), file_);
-}
-
-void
 ChromeTraceSink::event(const TraceEvent &ev)
 {
-    std::string record = "{";
-    appendEventBody(record, ev);
-    record += '}';
-    emit(record);
+    w_.beginObject(json::Layout::Compact);
+    writeEvent(w_, ev);
+    w_.endObject();
+    flush(file_, buf_);
 }
 
 void
@@ -294,8 +230,9 @@ ChromeTraceSink::close()
 {
     if (!file_)
         return;
-    const char *tail = "]}\n";
-    std::fwrite(tail, 1, std::strlen(tail), file_);
+    w_.endArray().endObject();
+    buf_ += '\n';
+    flush(file_, buf_);
     std::fclose(file_);
     file_ = nullptr;
 }

@@ -22,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/json_writer.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -143,9 +144,11 @@ class JsonlSink : public EventSink
     void close() override;
 
   private:
-    void writeLine(const std::string &line);
+    /** Terminate the line in buf_ and write it out. */
+    void endLine();
 
     std::FILE *file_ = nullptr;
+    std::string buf_;
     std::vector<std::string> columns_;
 };
 
@@ -167,10 +170,9 @@ class ChromeTraceSink : public EventSink
     void close() override;
 
   private:
-    void emit(const std::string &record);
-
     std::FILE *file_ = nullptr;
-    bool first_ = true;
+    std::string buf_;
+    json::Writer w_{buf_}; //!< open from construction to close()
     std::vector<SampleColumn> columns_;
 };
 

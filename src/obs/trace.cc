@@ -19,6 +19,9 @@ hexAddr(Addr addr)
     return buf;
 }
 
+/** Type code of a demand store (mtp::ReqType order). */
+constexpr std::uint8_t storeType = 1;
+
 constexpr std::size_t
 stageIndex(Stage s)
 {
@@ -133,6 +136,20 @@ TraceRecorder::coalesce(CoreId core, Addr leadAddr, std::uint8_t type,
     emit(ev);
 }
 
+TraceRecorder::Lifecycle *
+TraceRecorder::pending(Addr addr, CoreId core, bool store, Stage s)
+{
+    auto it = inflight_.find(addr);
+    if (it == inflight_.end())
+        return nullptr;
+    for (Lifecycle &rec : it->second) {
+        if (rec.core == core && rec.store == store &&
+            rec.at[stageIndex(s)] == invalidCycle)
+            return &rec;
+    }
+    return nullptr;
+}
+
 void
 TraceRecorder::stage(Stage s, Addr addr, std::uint8_t type, CoreId core,
                      unsigned channel, Cycle now)
@@ -141,10 +158,18 @@ TraceRecorder::stage(Stage s, Addr addr, std::uint8_t type, CoreId core,
         return;
     MTP_ASSERT(s != Stage::Coalesce, "use coalesce() for that stage");
 
-    auto [it, fresh] = inflight_.try_emplace(addr);
-    if (fresh)
-        it->second.fill(invalidCycle);
-    it->second[stageIndex(s)] = now;
+    bool store = type == storeType;
+    Lifecycle *rec = nullptr;
+    if (s == Stage::MrqEnqueue) {
+        rec = &inflight_[addr].emplace_back();
+        rec->core = core;
+        rec->store = store;
+        rec->at.fill(invalidCycle);
+    } else {
+        rec = pending(addr, core, store, s);
+    }
+    if (rec)
+        rec->at[stageIndex(s)] = now;
 
     TraceEvent ev;
     ev.name = std::string("req:") + toString(s);
@@ -158,20 +183,35 @@ TraceRecorder::stage(Stage s, Addr addr, std::uint8_t type, CoreId core,
 
     // Stores complete at the controller (no response); everything else
     // closes out when its response reaches a core.
-    if (s == Stage::Return || (s == Stage::DramDone && type == 1))
-        finalize(addr, type, core, channel, s, now);
+    if (rec && (s == Stage::Return || (s == Stage::DramDone && store)))
+        close(addr, rec, type, channel, s, now);
 }
 
 void
-TraceRecorder::finalize(Addr addr, std::uint8_t type, CoreId core,
-                        unsigned channel, Stage lastStage, Cycle now)
+TraceRecorder::merged(Addr addr, std::uint8_t type, CoreId core,
+                      unsigned channel, Cycle now)
+{
+    if (!lifecycle_)
+        return;
+    bool store = type == storeType;
+    if (Lifecycle *rec = pending(addr, core, store, Stage::DramEnqueue)) {
+        rec->at[stageIndex(Stage::DramEnqueue)] = now;
+        if (store)
+            close(addr, rec, type, channel, Stage::DramEnqueue, now);
+    }
+}
+
+void
+TraceRecorder::close(Addr addr, const Lifecycle *closing, std::uint8_t type,
+                     unsigned channel, Stage lastStage, Cycle now)
 {
     auto it = inflight_.find(addr);
-    if (it == inflight_.end())
-        return; // a later sharer of an already-finalized response
-    const auto &ts = it->second;
+    const Lifecycle rec = *closing;
+    it->second.erase(it->second.begin() + (closing - it->second.data()));
+    if (it->second.empty())
+        inflight_.erase(it);
 
-    auto at = [&](Stage s) { return ts[stageIndex(s)]; };
+    auto at = [&](Stage s) { return rec.at[stageIndex(s)]; };
     auto span = [&](Stage from, Stage to, Histogram &h) {
         if (at(from) != invalidCycle && at(to) != invalidCycle)
             h.sample(static_cast<double>(at(to) - at(from)));
@@ -202,12 +242,11 @@ TraceRecorder::finalize(Addr addr, std::uint8_t type, CoreId core,
         ev.ph = 'X';
         ev.ts = at(Stage::MrqEnqueue);
         ev.dur = total;
-        ev.pid = trackForCore(core);
+        ev.pid = trackForCore(rec.core);
         ev.sargs.emplace_back("addr", hexAddr(addr));
         emit(ev);
         ++completed_;
     }
-    inflight_.erase(it);
 }
 
 void

@@ -2,8 +2,8 @@
  * @file
  * Request/prefetch lifecycle tracing. Simulation components call the
  * recorder at each lifecycle transition; the recorder emits one trace
- * event per transition to the attached sinks, tracks per-address
- * in-flight timestamps, and folds the stage-to-stage deltas into
+ * event per transition to the attached sinks, tracks each in-flight
+ * request's stage timestamps, and folds the stage-to-stage deltas into
  * latency-breakdown Histograms (MRQ wait, interconnect, DRAM queueing,
  * DRAM service, response network, total round trip).
  *
@@ -91,9 +91,21 @@ class TraceRecorder
     void coalesce(CoreId core, Addr leadAddr, std::uint8_t type,
                   std::size_t txns, Cycle now);
 
-    /** Request @p addr reached lifecycle stage @p s. */
+    /**
+     * A request of @p core for block @p addr reached lifecycle stage
+     * @p s. The DRAM stages name the core of the request the channel
+     * serves, which a merged request of another core has joined.
+     */
     void stage(Stage s, Addr addr, std::uint8_t type, CoreId core,
                unsigned channel, Cycle now);
+
+    /**
+     * @p core's request for @p addr reached the controller and merged
+     * into a queued request for the block (no event): its trip there
+     * ends, a load closes at its own Return and a store here.
+     */
+    void merged(Addr addr, std::uint8_t type, CoreId core,
+                unsigned channel, Cycle now);
 
     /** Prefetch lifecycle event for block @p addr on @p core. */
     void pref(PrefEvent ev, Addr addr, CoreId core, Cycle now);
@@ -121,19 +133,35 @@ class TraceRecorder
   private:
     static constexpr std::size_t numStages = 7;
 
+    /** One in-flight request's stage timestamps. */
+    struct Lifecycle
+    {
+        CoreId core = 0;
+        bool store = false;
+        std::array<Cycle, numStages> at; //!< invalidCycle: not reached
+    };
+
     void emit(const TraceEvent &ev);
 
-    /** Close out @p addr's in-flight record at @p lastStage. */
-    void finalize(Addr addr, std::uint8_t type, CoreId core,
-                  unsigned channel, Stage lastStage, Cycle now);
+    /**
+     * The oldest in-flight request of @p core's class (store or read)
+     * for @p addr that has not reached @p s, or nullptr. Requests of
+     * one class and core move through each stage in issue order.
+     */
+    Lifecycle *pending(Addr addr, CoreId core, bool store, Stage s);
+
+    /** Drop @p closing from @p addr's list, fold its stage deltas
+     *  into the histograms and emit its spans. */
+    void close(Addr addr, const Lifecycle *closing, std::uint8_t type,
+               unsigned channel, Stage lastStage, Cycle now);
 
     bool lifecycle_;
     bool throttle_;
     bool finished_ = false;
     std::vector<EventSink *> sinks_;
 
-    /** Per-address stage timestamps (invalidCycle = not reached). */
-    std::unordered_map<Addr, std::array<Cycle, numStages>> inflight_;
+    /** In-flight requests per block, every core's, oldest first. */
+    std::unordered_map<Addr, std::vector<Lifecycle>> inflight_;
 
     std::uint64_t completed_ = 0;
     Histogram histMrq_{0.0, 1024.0, 64};

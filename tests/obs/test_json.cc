@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the observability layer's JSON support: string escaping,
- * the validation parser, and the Chrome trace-event schema checker.
+ * Tests for the observability layer's JSON support: the validation
+ * parser and the Chrome trace-event schema checker.
  */
 
 #include <gtest/gtest.h>
@@ -13,21 +13,6 @@
 namespace mtp {
 namespace obs {
 namespace {
-
-TEST(JsonEscape, PassesPlainTextThrough)
-{
-    EXPECT_EQ(jsonEscape("core0.ipc"), "core0.ipc");
-    EXPECT_EQ(jsonEscape(""), "");
-}
-
-TEST(JsonEscape, EscapesSpecials)
-{
-    EXPECT_EQ(jsonEscape("a\"b"), "a\\\"b");
-    EXPECT_EQ(jsonEscape("a\\b"), "a\\\\b");
-    EXPECT_EQ(jsonEscape("a\nb"), "a\\nb");
-    EXPECT_EQ(jsonEscape("a\tb"), "a\\tb");
-    EXPECT_EQ(jsonEscape(std::string(1, '\x01')), "\\u0001");
-}
 
 TEST(JsonParse, Scalars)
 {

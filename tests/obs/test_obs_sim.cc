@@ -14,7 +14,8 @@
  *    --trace-out` validates against the trace-event schema, and a
  *    JSONL stream parses line by line;
  *  - throttle period updates reach the event sinks as
- *    `throttle:update` records (what `mtp-sim --events` writes).
+ *    `throttle:update` records (what `mtp-sim --events` writes);
+ *  - lifecycle latencies stay per request when cores share a block.
  */
 
 #include <gtest/gtest.h>
@@ -28,8 +29,10 @@
 
 #include "obs/json.hh"
 #include "obs/observer.hh"
+#include "obs/trace.hh"
 #include "sim/gpu.hh"
 #include "tests/test_helpers.hh"
+#include "workloads/workload.hh"
 
 namespace mtp {
 namespace {
@@ -316,6 +319,53 @@ TEST(ObsSim, JsonlStreamParsesLineByLine)
     EXPECT_GT(n, 0u);
     in.close();
     std::remove(path.c_str());
+}
+
+/** Counts lifecycle returns and closed lifecycles per track. */
+class LifecycleCounter : public obs::EventSink
+{
+  public:
+    void
+    event(const obs::TraceEvent &ev) override
+    {
+        if (ev.name == "req:return")
+            ++returns[ev.pid];
+        else if (ev.name.rfind("mem:", 0) == 0 && ev.name != "mem:store")
+            ++closedReads[ev.pid];
+    }
+
+    std::map<int, std::uint64_t> returns;
+    std::map<int, std::uint64_t> closedReads;
+};
+
+/**
+ * Requests from several cores for one block are in flight together on
+ * bfs (the channel merges some of them). Every latency span stays
+ * between two stages of one request, so none exceeds the run, and
+ * every return closes its own core's lifecycle.
+ */
+TEST(ObsSim, LatencySpansStayWithinTheRunOnSharedBlocks)
+{
+    SimConfig cfg;
+    KernelDesc kernel = Suite::get("bfs", 64).kernel;
+    obs::ObsConfig ocfg;
+    ocfg.traceLifecycle = true;
+    obs::Observer observer(ocfg);
+    LifecycleCounter counter;
+    observer.tracer()->addSink(&counter);
+    Gpu gpu(cfg, kernel, &observer);
+    RunResult r = gpu.run();
+
+    ASSERT_GT(r.stats.sumMatching("", ".interCoreMerges"), 0.0);
+    const obs::TraceRecorder &rec = *observer.tracer();
+    for (const Histogram *h :
+         {&rec.histMrqWait(), &rec.histIcntReq(), &rec.histDramQueue(),
+          &rec.histDramService(), &rec.histIcntResp(), &rec.histTotal()}) {
+        EXPECT_GT(h->count(), 0u);
+        EXPECT_LE(h->maxValue(), static_cast<double>(r.cycles));
+    }
+    EXPECT_FALSE(counter.returns.empty());
+    EXPECT_EQ(counter.closedReads, counter.returns);
 }
 
 TEST(ObsSim, ThrottleEventsFlowThroughSinkApi)

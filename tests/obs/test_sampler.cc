@@ -1,6 +1,6 @@
 /**
  * @file
- * Sampler semantics: probe kinds (gauge / counter / rate / ratio),
+ * Sampler semantics: probe kinds (gauge / rate / ratio),
  * boundary arithmetic, and the nextSampleAt() contract the GPU's
  * cycle-skipping loop relies on.
  */
@@ -32,7 +32,7 @@ TEST(Sampler, EmitsSchemaOnStart)
     double x = 0.0;
     s.addProbe("a", trackForCore(0), Sampler::Kind::Gauge,
                [&](Cycle) { return x; });
-    s.addProbe("b", trackGlobal, Sampler::Kind::Counter,
+    s.addProbe("b", trackGlobal, Sampler::Kind::Rate,
                [&](Cycle) { return x; });
     EXPECT_TRUE(cap.schema.empty());
     s.start(100);
@@ -70,7 +70,7 @@ TEST(Sampler, KindSemantics)
     double num = 0.0, den = 0.0;
     s.addProbe("g", 0, Sampler::Kind::Gauge,
                [&](Cycle) { return gauge; });
-    s.addProbe("c", 0, Sampler::Kind::Counter,
+    s.addProbe("c", 0, Sampler::Kind::Rate,
                [&](Cycle) { return counter; });
     s.addProbe("r", 0, Sampler::Kind::Rate,
                [&](Cycle) { return rate; });
@@ -88,7 +88,7 @@ TEST(Sampler, KindSemantics)
     ASSERT_EQ(cap.samples.size(), 1u);
     EXPECT_EQ(cap.samples[0].cycle, 100u);
     EXPECT_DOUBLE_EQ(cap.samples[0].values[0], 7.0);   // instantaneous
-    EXPECT_DOUBLE_EQ(cap.samples[0].values[1], 40.0);  // delta from 0
+    EXPECT_DOUBLE_EQ(cap.samples[0].values[1], 0.4);   // 40 from 0
     EXPECT_DOUBLE_EQ(cap.samples[0].values[2], 0.5);   // 50 / 100
     EXPECT_DOUBLE_EQ(cap.samples[0].values[3], 0.75);  // 3 / 4
 
@@ -101,7 +101,7 @@ TEST(Sampler, KindSemantics)
     s.sample(200);
     ASSERT_EQ(cap.samples.size(), 2u);
     EXPECT_DOUBLE_EQ(cap.samples[1].values[0], 2.0);
-    EXPECT_DOUBLE_EQ(cap.samples[1].values[1], 5.0);
+    EXPECT_DOUBLE_EQ(cap.samples[1].values[1], 0.05); // 45 - 40
     EXPECT_DOUBLE_EQ(cap.samples[1].values[2], 1.0);
     EXPECT_DOUBLE_EQ(cap.samples[1].values[3], 0.0); // 0 / 4
 

@@ -231,6 +231,83 @@ TEST(TraceRecorder, StoreCompletesAtController)
     EXPECT_EQ(rec.histIcntResp().count(), 0u); // stores send no reply
 }
 
+/**
+ * Two cores' loads of one block, interleaved: core 1's request reaches
+ * the controller after core 0's was scheduled, so the channel serves
+ * each one. Each request keeps its own stamps, so no span wraps, and
+ * each return closes its own core's lifecycle.
+ */
+TEST(TraceRecorder, InterleavedCoresKeepTheirOwnStamps)
+{
+    TraceRecorder rec(/*lifecycle=*/true, /*throttle=*/false);
+    CaptureSink cap;
+    rec.addSink(&cap);
+
+    const Addr addr = 0x3000;
+    rec.stage(Stage::MrqEnqueue, addr, 0, 0, 0, 10);
+    rec.stage(Stage::MrqEnqueue, addr, 0, 1, 0, 12);
+    rec.stage(Stage::IcntInject, addr, 0, 0, 0, 14);
+    rec.stage(Stage::IcntInject, addr, 0, 1, 0, 15);
+    rec.stage(Stage::DramEnqueue, addr, 0, 0, 0, 20);
+    rec.stage(Stage::DramSchedule, addr, 0, 0, 0, 25);
+    rec.stage(Stage::DramEnqueue, addr, 0, 1, 0, 26);
+    rec.stage(Stage::DramDone, addr, 0, 0, 0, 50);
+    rec.stage(Stage::DramSchedule, addr, 0, 1, 0, 55);
+    rec.stage(Stage::Return, addr, 0, 0, 0, 60);
+    rec.stage(Stage::DramDone, addr, 0, 1, 0, 80);
+    rec.stage(Stage::Return, addr, 0, 1, 0, 90);
+
+    // Core 0: 4, 6, 5, 25, 10 and 50 cycles; core 1: 3, 11, 29, 25, 10
+    // and 78.
+    EXPECT_EQ(rec.completedRequests(), 2u);
+    EXPECT_DOUBLE_EQ(rec.histMrqWait().mean(), 3.5);
+    EXPECT_DOUBLE_EQ(rec.histIcntReq().mean(), 8.5);
+    EXPECT_DOUBLE_EQ(rec.histDramQueue().mean(), 17.0);
+    EXPECT_DOUBLE_EQ(rec.histDramService().mean(), 25.0);
+    EXPECT_DOUBLE_EQ(rec.histIcntResp().mean(), 10.0);
+    EXPECT_DOUBLE_EQ(rec.histTotal().mean(), 64.0);
+    EXPECT_DOUBLE_EQ(rec.histDramQueue().maxValue(), 29.0);
+
+    std::vector<int> lifecycles;
+    for (const auto &ev : cap.events)
+        if (ev.name == "mem:load")
+            lifecycles.push_back(ev.pid);
+    EXPECT_EQ(lifecycles,
+              (std::vector<int>{trackForCore(0), trackForCore(1)}));
+}
+
+/**
+ * Core 1's store merges into core 0's queued store: its trip ends at
+ * the merge. Core 0's next store, issued meanwhile, is a request of
+ * its own.
+ */
+TEST(TraceRecorder, MergedStoreEndsWhereItJoins)
+{
+    TraceRecorder rec(/*lifecycle=*/true, /*throttle=*/false);
+    const Addr addr = 0x4000;
+    rec.stage(Stage::MrqEnqueue, addr, 1, 0, 0, 10);
+    rec.stage(Stage::MrqEnqueue, addr, 1, 1, 0, 11);
+    rec.stage(Stage::IcntInject, addr, 1, 0, 0, 12);
+    rec.stage(Stage::IcntInject, addr, 1, 1, 0, 14);
+    rec.stage(Stage::DramEnqueue, addr, 1, 0, 0, 20);
+    rec.merged(addr, 1, 1, 0, 23);
+    EXPECT_EQ(rec.completedRequests(), 1u);
+    EXPECT_DOUBLE_EQ(rec.histTotal().mean(), 12.0); // 23 - 11
+    EXPECT_DOUBLE_EQ(rec.histIcntReq().mean(), 9.0); // 23 - 14
+
+    rec.stage(Stage::MrqEnqueue, addr, 1, 0, 0, 24);
+    rec.stage(Stage::DramSchedule, addr, 1, 0, 0, 30);
+    rec.stage(Stage::IcntInject, addr, 1, 0, 0, 31);
+    rec.stage(Stage::DramEnqueue, addr, 1, 0, 0, 40);
+    rec.stage(Stage::DramDone, addr, 1, 0, 0, 60);
+    rec.stage(Stage::DramSchedule, addr, 1, 0, 0, 61);
+    rec.stage(Stage::DramDone, addr, 1, 0, 0, 90);
+    EXPECT_EQ(rec.completedRequests(), 3u);
+    EXPECT_DOUBLE_EQ(rec.histTotal().maxValue(), 66.0); // 90 - 24
+    EXPECT_EQ(rec.histDramService().count(), 2u);
+    EXPECT_DOUBLE_EQ(rec.histDramQueue().maxValue(), 21.0); // 61 - 40
+}
+
 TEST(TraceRecorder, DisabledStreamsEmitNothing)
 {
     TraceRecorder rec(/*lifecycle=*/false, /*throttle=*/true);

@@ -54,9 +54,19 @@ run_step(0 ${MTP_SIM} --bench stream --scale 64 --quiet
     --sample-period 4096 --events ${WORK_DIR}/report_gate_fresh.jsonl
     numCores=2 dramChannels=2)
 
-# 2. Report modes must run clean on real artifacts.
-run_step(0 ${MTP_REPORT} show ${GOLDEN} ${MTHWP}
-    --jsonl ${WORK_DIR}/report_gate_fresh.jsonl)
+# 2. Report modes must run clean on real artifacts. The JSONL summary
+#    counts the event records only, not the hist and schema records.
+execute_process(COMMAND ${MTP_REPORT} show ${GOLDEN} ${MTHWP}
+    --jsonl ${WORK_DIR}/report_gate_fresh.jsonl
+    RESULT_VARIABLE status OUTPUT_VARIABLE shown)
+file(STRINGS ${WORK_DIR}/report_gate_fresh.jsonl event_lines
+    REGEX "^{\"t\":\"event\"")
+list(LENGTH event_lines events)
+if(NOT status EQUAL 0 OR NOT shown MATCHES ", ${events} events\n")
+    message(FATAL_ERROR
+        "'mtp-report show --jsonl' exited ${status} or did not count "
+        "the ${events} event records:\n${shown}")
+endif()
 run_step(0 ${MTP_REPORT} compare ${GOLDEN} ${MTHWP})
 
 # 3. The golden snapshots carry no sim.sched.* counters, so only a

@@ -504,7 +504,7 @@ summarizeJsonl(const std::string &path)
                         sums[name] += val.number;
                 }
             }
-        } else if (t->str != "schema") {
+        } else if (t->str == "event") {
             ++events;
         }
     }
