@@ -1,6 +1,7 @@
 #include "mem/dram.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/log.hh"
 
@@ -30,11 +31,13 @@ DramChannel::DramChannel(const SimConfig &cfg, unsigned channelId)
       burst_(blockBytes / cfg.dramBusBytesPerCycle),
       extraLatency_(cfg.memLatencyExtra),
       slots_(cfg.memBufEntries),
+      reqs_(cfg.memBufEntries),
       lists_(cfg.dramBanks * 2),
       banks_(cfg.dramBanks),
       bankPending_(cfg.dramBanks, 0)
 {
     MTP_ASSERT(blocksPerRow_ > 0, "row smaller than a block");
+    MTP_ASSERT(numBanks_ <= 64, "at most 64 banks per channel");
     MTP_ASSERT(burst_ > 0, "bus wider than a block");
     freeSlots_.reserve(slots_.size());
     for (int s = static_cast<int>(slots_.size()) - 1; s >= 0; --s)
@@ -160,10 +163,10 @@ DramChannel::insert(MemRequest &&req)
     AddrCell &cell = index_[findCell(req.addr)];
     int &mate = store ? cell.store : cell.read;
     if (mate != noSlot) {
-        Slot &queued = slots_[mate];
-        queued.req.mergeFrom(std::move(req));
+        MemRequest &queued = reqs_[mate];
+        queued.mergeFrom(std::move(req));
         ++counters_.interCoreMerges;
-        if (queued.cls == prefetchCls && !isPrefetch(queued.req.type))
+        if (slots_[mate].cls == prefetchCls && !isPrefetch(queued.type))
             promote(mate);
         return true;
     }
@@ -180,8 +183,9 @@ DramChannel::insert(MemRequest &&req)
     slot.cls = demandPriority_ && isPrefetch(req.type) ? prefetchCls
                                                        : demandCls;
     slot.seq = nextSeq_++;
-    slot.req = std::move(req);
+    reqs_[s] = std::move(req);
     ++bankPending_[c.bank];
+    pendingBanks_ |= 1ULL << c.bank;
     link(s);
     return false;
 }
@@ -190,9 +194,9 @@ bool
 DramChannel::upgradeToDemand(Addr addr)
 {
     int s = index_[findCell(addr)].read;
-    if (s == noSlot || !isPrefetch(slots_[s].req.type))
+    if (s == noSlot || !isPrefetch(reqs_[s].type))
         return false;
-    slots_[s].req.type = ReqType::DemandLoad;
+    reqs_[s].type = ReqType::DemandLoad;
     if (slots_[s].cls == prefetchCls)
         promote(s);
     return true;
@@ -202,12 +206,10 @@ Cycle
 DramChannel::nextEventAt(Cycle now) const
 {
     Cycle e = invalidCycle;
-    if (!serviceDoneAts_.empty())
-        e = serviceDoneAts_.front();
-    for (unsigned b = 0; b < banks_.size(); ++b) {
-        if (bankPending_[b] == 0)
-            continue;
-        Cycle ready = banks_[b].busyUntil;
+    if (!inService_.empty())
+        e = inService_.front().doneAt;
+    for (std::uint64_t bits = pendingBanks_; bits != 0; bits &= bits - 1) {
+        Cycle ready = banks_[std::countr_zero(bits)].busyUntil;
         if (ready <= now)
             return now;
         if (ready < e)
@@ -220,7 +222,7 @@ DramChannel::nextEventAt(Cycle now) const
     for (const ClassList &l : lists_)
         for (int s = l.head; s != noSlot; s = slots_[s].next)
             scan = std::min(
-                scan, std::max(now, banks_[mapAddr(slots_[s].req.addr).bank]
+                scan, std::max(now, banks_[mapAddr(reqs_[s].addr).bank]
                                         .busyUntil));
     MTP_ASSERT(std::max(e, now) == std::max(scan, now),
                "per-bank event bound disagrees with exhaustive scan");
@@ -292,7 +294,7 @@ DramChannel::pickRequestScan(Cycle now) const
     int best_hit[2] = {noSlot, noSlot};
     int best_any[2] = {noSlot, noSlot};
     for (int s : order) {
-        const MemRequest &req = slots_[s].req;
+        const MemRequest &req = reqs_[s];
         DramCoord c = mapAddr(req.addr);
         const Bank &bank = banks_[c.bank];
         if (bank.busyUntil > now)
@@ -316,29 +318,18 @@ DramChannel::pickRequestScan(Cycle now) const
 void
 DramChannel::tick(Cycle now, std::vector<MemRequest> &completed)
 {
-    // Retire finished data transfers; serviceDoneAts_ holds their
-    // minimum, so most ticks skip the in-service walk.
-    if (!serviceDoneAts_.empty() && serviceDoneAts_.front() <= now) {
-        for (std::size_t i = 0; i < inService_.size();) {
-            if (inService_[i].doneAt <= now) {
-                ++stateVersion_;
-                const MemRequest &done = inService_[i].req;
-                // Stamped at doneAt, not now: delayed skip-free ticks
-                // must not inflate the recorded service time.
-                MTP_OBS_HOOK(tracer_,
-                             stage(obs::Stage::DramDone, done.addr,
-                                   static_cast<std::uint8_t>(done.type),
-                                   done.core, channelId_,
-                                   inService_[i].doneAt));
-                completed.push_back(std::move(inService_[i].req));
-                inService_[i] = std::move(inService_.back());
-                inService_.pop_back();
-            } else {
-                ++i;
-            }
-        }
-        while (!serviceDoneAts_.empty() && serviceDoneAts_.front() <= now)
-            serviceDoneAts_.pop_front();
+    // Retire finished data transfers, oldest first.
+    while (!inService_.empty() && inService_.front().doneAt <= now) {
+        ++stateVersion_;
+        const MemRequest &done = inService_.front().req;
+        // Stamped at doneAt, not now: delayed skip-free ticks must not
+        // inflate the recorded service time.
+        MTP_OBS_HOOK(tracer_,
+                     stage(obs::Stage::DramDone, done.addr,
+                           static_cast<std::uint8_t>(done.type), done.core,
+                           channelId_, inService_.front().doneAt));
+        completed.push_back(std::move(inService_.front().req));
+        inService_.pop_front();
     }
 
     // Schedule at most one request per cycle (command-bus limit).
@@ -353,11 +344,12 @@ DramChannel::tick(Cycle now, std::vector<MemRequest> &completed)
 
     Slot &slot = slots_[pick];
     unlink(pick);
-    unindex(slot.req.addr, slot.req.type == ReqType::DemandStore);
+    unindex(reqs_[pick].addr, reqs_[pick].type == ReqType::DemandStore);
     MTP_ASSERT(bankPending_[slot.bank] > 0, "bank pending-count underflow");
-    --bankPending_[slot.bank];
+    if (--bankPending_[slot.bank] == 0)
+        pendingBanks_ &= ~(1ULL << slot.bank);
     freeSlots_.push_back(pick);
-    MemRequest req = std::move(slot.req);
+    MemRequest req = std::move(reqs_[pick]);
     Bank &bank = banks_[slot.bank];
 
     MTP_OBS_HOOK(tracer_,
@@ -402,10 +394,9 @@ DramChannel::tick(Cycle now, std::vector<MemRequest> &completed)
 
     // The response leaves the controller after the fixed pipeline
     // latency; the bank and bus are free at `done`.
-    MTP_ASSERT(serviceDoneAts_.empty() ||
-                   serviceDoneAts_.back() < done + extraLatency_,
+    MTP_ASSERT(inService_.empty() ||
+                   inService_.back().doneAt < done + extraLatency_,
                "service completion times not monotonic");
-    serviceDoneAts_.push_back(done + extraLatency_);
     inService_.push_back({std::move(req), done + extraLatency_});
 }
 

@@ -115,7 +115,8 @@ class DramChannel
      * Earliest cycle >= @p now at which this channel could act: retire
      * an in-service transfer (its doneAt) or schedule a buffered
      * request (its bank's busyUntil). A lower bound on the true next
-     * state change — never later (the event-horizon contract).
+     * state change — never later (the event-horizon contract). Visits
+     * only the banks with buffered requests.
      */
     Cycle nextEventAt(Cycle now) const;
 
@@ -123,8 +124,9 @@ class DramChannel
      * Monotonic counter bumped whenever timing-relevant channel state
      * changes: a request entering the buffer, a request scheduled onto
      * a bank, or a transfer retired. While it is unchanged, a cached
-     * nextEventAt() bound that still lies in the future remains valid
-     * — the basis of MemSystem's per-channel horizon cache.
+     * nextEventAt() bound that still lies in the future remains valid;
+     * MemSystem's slow check of its per-channel horizon cache holds
+     * every channel it did not mark stale to an unchanged version.
      * upgradeToDemand() deliberately does not bump it: promotion
      * changes which request is picked, never when the channel next
      * acts (the bound is type-independent).
@@ -164,10 +166,13 @@ class DramChannel
         Cycle doneAt;
     };
 
-    /** One request-buffer entry with its precomputed scheduling keys. */
+    /**
+     * The precomputed scheduling keys of one request-buffer entry; the
+     * request itself sits at the same index of reqs_, so list walks
+     * touch only these compact records.
+     */
     struct Slot
     {
-        MemRequest req;
         std::uint64_t seq = 0; //!< insertion order = buffer order
         std::uint64_t row = 0;
         unsigned bank = 0;
@@ -235,6 +240,7 @@ class DramChannel
 
     /** The request buffer: memBufEntries slots, unused ones listed free. */
     std::vector<Slot> slots_;
+    std::vector<MemRequest> reqs_; //!< the request of each slot
     std::vector<int> freeSlots_;
     std::uint64_t nextSeq_ = 0;
     /** Per-(bank, class) candidate lists, at bank * 2 + cls. */
@@ -249,14 +255,15 @@ class DramChannel
     std::vector<Bank> banks_;
     /** Buffered requests per bank, for the O(banks) pick and bound. */
     std::vector<unsigned> bankPending_;
-    std::vector<InService> inService_;
+    /** Banks with a buffered request (bit b; at most 64 banks). */
+    std::uint64_t pendingBanks_ = 0;
     /**
-     * doneAt of every in-service request, oldest first. The shared
-     * data bus serializes transfers, so completion times are strictly
-     * increasing in schedule order and the front is the minimum;
-     * retirement pops the same prefix tick() removes from inService_.
+     * Scheduled requests, oldest first. The shared data bus serializes
+     * transfers, so completion times are strictly increasing in
+     * schedule order: the front finishes first, and retirement pops a
+     * prefix.
      */
-    std::deque<Cycle> serviceDoneAts_;
+    std::deque<InService> inService_;
     Cycle busFreeAt_ = 0;
     std::uint64_t stateVersion_ = 0;
     obs::TraceRecorder *tracer_ = nullptr;

@@ -5,7 +5,8 @@
 namespace mtp {
 
 Icnt::Icnt(unsigned destinations, unsigned latency)
-    : latency_(latency), pipes_(destinations)
+    : latency_(latency), pipes_(destinations),
+      frontAt_(destinations, invalidCycle)
 {
     MTP_ASSERT(destinations > 0, "Icnt needs at least one destination");
 }
@@ -16,10 +17,17 @@ Icnt::send(unsigned dest, MemRequest &&req, Cycle now)
     MTP_ASSERT(dest < pipes_.size(), "Icnt destination ", dest,
                " out of range");
     Cycle arrival = now + latency_;
+    if (pipes_[dest].empty())
+        frontAt_[dest] = arrival;
     pipes_[dest].push_back({std::move(req), arrival});
     ++packetsSent_;
-    if (!minDirty_ && arrival < minArrival_)
-        minArrival_ = arrival;
+    if (arrivals_.empty() || arrivals_.back().at != arrival) {
+        MTP_ASSERT(arrivals_.empty() || arrivals_.back().at < arrival,
+                   "Icnt sends out of cycle order");
+        arrivals_.push_back({arrival, 1});
+    } else {
+        ++arrivals_.back().packets;
+    }
 }
 
 bool
@@ -35,10 +43,20 @@ Icnt::pop(unsigned dest)
 {
     MTP_ASSERT(dest < pipes_.size() && !pipes_[dest].empty(),
                "pop() on empty Icnt pipe ", dest);
-    MemRequest req = std::move(pipes_[dest].front().req);
-    if (pipes_[dest].front().readyAt == minArrival_)
-        minDirty_ = true; // the cached minimum may leave the network
-    pipes_[dest].pop_front();
+    std::deque<Timed> &pipe = pipes_[dest];
+    const Cycle arrival = pipe.front().readyAt;
+    MemRequest req = std::move(pipe.front().req);
+    pipe.pop_front();
+    frontAt_[dest] = pipe.empty() ? invalidCycle : pipe.front().readyAt;
+    // Packets are delivered when due, so the popped one almost always
+    // belongs to the oldest arrival cycle; a delivery held back by a
+    // full buffer leaves its cycle counted ahead of later ones.
+    auto it = arrivals_.begin();
+    while (it->at != arrival)
+        ++it;
+    --it->packets;
+    while (!arrivals_.empty() && arrivals_.front().packets == 0)
+        arrivals_.pop_front();
     return req;
 }
 
@@ -73,28 +91,22 @@ Icnt::totalInFlight() const
     return n;
 }
 
-Cycle
-Icnt::nextArrivalAt() const
-{
-    if (minDirty_) {
-        minArrival_ = invalidCycle;
-        for (const auto &p : pipes_) {
-            if (!p.empty() && p.front().readyAt < minArrival_)
-                minArrival_ = p.front().readyAt;
-        }
-        minDirty_ = false;
-    }
 #if MTP_SLOW_CHECKS
+Cycle
+Icnt::nextArrivalScan() const
+{
     Cycle scan = invalidCycle;
-    for (const auto &p : pipes_) {
+    for (std::size_t d = 0; d < pipes_.size(); ++d) {
+        const auto &p = pipes_[d];
+        MTP_ASSERT(frontAt_[d] ==
+                       (p.empty() ? invalidCycle : p.front().readyAt),
+                   "Icnt front arrival of pipe ", d, " out of sync");
         if (!p.empty() && p.front().readyAt < scan)
             scan = p.front().readyAt;
     }
-    MTP_ASSERT(scan == minArrival_,
-               "cached Icnt arrival minimum out of sync");
-#endif
-    return minArrival_;
+    return scan;
 }
+#endif
 
 void
 Icnt::exportStats(StatSet &set, const std::string &prefix) const

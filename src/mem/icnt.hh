@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/log.hh" // MTP_SLOW_CHECKS
 #include "common/stats.hh"
 #include "mem/mem_request.hh"
 
@@ -39,6 +40,13 @@ class Icnt
     /** @return true iff @p dest has a packet whose arrival time passed. */
     bool frontReady(unsigned dest, Cycle now) const;
 
+    /**
+     * Arrival time of @p dest's front packet, or invalidCycle when its
+     * pipe is empty: frontReady() as a bound the event-queue loop can
+     * test in O(1), kept per destination by send() and pop().
+     */
+    Cycle frontArrivalAt(unsigned dest) const { return frontAt_[dest]; }
+
     /** Pop the ready head packet of @p dest. */
     MemRequest pop(unsigned dest);
 
@@ -57,14 +65,22 @@ class Icnt
 
     /**
      * Earliest arrival time of any in-flight packet, or invalidCycle
-     * when the network is empty. Pipes are FIFO with a fixed latency,
-     * so each pipe's front packet is its earliest; this is the
-     * network's contribution to the simulation's next-event bound.
-     * O(1) amortized: sends keep a cached minimum up to date (arrival
-     * times are monotone per pipe), and only popping the packet that
-     * held the minimum forces an O(pipes) rescan.
+     * when the network is empty: the network's contribution to the
+     * simulation's next-event bound. O(1): the network has one fixed
+     * latency and sends come in cycle order, so the earliest arrival
+     * is that of the oldest packet still in flight, the head of the
+     * per-cycle arrival counts.
      */
-    Cycle nextArrivalAt() const;
+    Cycle
+    nextArrivalAt() const
+    {
+        Cycle at = arrivals_.empty() ? invalidCycle : arrivals_.front().at;
+#if MTP_SLOW_CHECKS
+        MTP_ASSERT(at == nextArrivalScan(),
+                   "Icnt arrival counts disagree with the pipe fronts");
+#endif
+        return at;
+    }
 
     /** @return true iff nothing is in flight. */
     bool drained() const { return totalInFlight() == 0; }
@@ -81,12 +97,25 @@ class Icnt
         Cycle readyAt;
     };
 
+    /** Packets still in flight that arrive in one cycle. */
+    struct Arrival
+    {
+        Cycle at;
+        std::uint32_t packets;
+    };
+
+#if MTP_SLOW_CHECKS
+    /** nextArrivalAt() as the minimum over every pipe's front packet. */
+    Cycle nextArrivalScan() const;
+#endif
+
     unsigned latency_;
     std::vector<std::deque<Timed>> pipes_;
+    /** Per pipe: its front packet's arrival time, invalidCycle if empty. */
+    std::vector<Cycle> frontAt_;
+    /** In-flight packet counts per arrival cycle, oldest first. */
+    std::deque<Arrival> arrivals_;
     std::uint64_t packetsSent_ = 0;
-    /** Cached earliest arrival; recomputed lazily when dirty. */
-    mutable Cycle minArrival_ = invalidCycle;
-    mutable bool minDirty_ = false;
 };
 
 } // namespace mtp

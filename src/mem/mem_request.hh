@@ -10,6 +10,7 @@
 #define MTP_MEM_MEM_REQUEST_HH
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -41,6 +42,59 @@ isDemand(ReqType t)
 }
 
 /**
+ * The cores a request answers, in the order they joined: the first
+ * requester, then every core an inter-core merge added, each once.
+ * The first few live in place, so an unmerged request never touches
+ * the heap; only a merge of more cores' requests than that spills.
+ */
+class Sharers
+{
+  public:
+    std::size_t size() const { return size_; }
+
+    CoreId
+    operator[](std::size_t i) const
+    {
+        return i < inPlace ? first_[i] : spill_[i - inPlace];
+    }
+
+    CoreId front() const { return first_[0]; }
+
+    /** Add @p core unless it is already a sharer. */
+    void
+    add(CoreId core)
+    {
+        for (std::size_t i = 0; i < size_; ++i) {
+            if ((*this)[i] == core)
+                return;
+        }
+        if (size_ < inPlace)
+            first_[size_] = core;
+        else
+            spill_.push_back(core);
+        ++size_;
+    }
+
+    bool
+    operator==(const Sharers &other) const
+    {
+        if (size_ != other.size_)
+            return false;
+        for (std::size_t i = 0; i < size_; ++i) {
+            if ((*this)[i] != other[i])
+                return false;
+        }
+        return true;
+    }
+
+  private:
+    static constexpr std::size_t inPlace = 3;
+    std::uint32_t size_ = 0;
+    std::array<CoreId, inPlace> first_{};
+    std::vector<CoreId> spill_; //!< sharers past the first inPlace
+};
+
+/**
  * One in-flight block transaction. Created at a core's MRQ, possibly
  * merged with other cores' same-block transactions at the DRAM
  * controller's request buffer (Fig. 2b), serviced by a DRAM bank and
@@ -57,7 +111,7 @@ struct MemRequest
                                       //!< full 64 B block)
 
     /** Cores that must receive the completion (inter-core merge adds). */
-    std::vector<CoreId> sharers;
+    Sharers sharers;
 
     /** Construct a fresh single-core request. */
     static MemRequest
@@ -70,7 +124,7 @@ struct MemRequest
         r.core = core;
         r.created = now;
         r.bytes = bytes;
-        r.sharers.push_back(core);
+        r.sharers.add(core);
         return r;
     }
 
@@ -96,11 +150,8 @@ struct MemRequest
         if (other.type == ReqType::DemandLoad)
             type = ReqType::DemandLoad;
         bytes = bytes > other.bytes ? bytes : other.bytes;
-        for (auto s : other.sharers) {
-            if (std::find(sharers.begin(), sharers.end(), s) ==
-                sharers.end())
-                sharers.push_back(s);
-        }
+        for (std::size_t i = 0; i < other.sharers.size(); ++i)
+            sharers.add(other.sharers[i]);
         created = std::min(created, other.created);
     }
 };

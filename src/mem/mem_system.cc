@@ -1,6 +1,7 @@
 #include "mem/mem_system.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/log.hh"
 
@@ -31,7 +32,18 @@ MemSystem::MemSystem(const SimConfig &cfg)
     unsigned ports = (numCores_ + cfg.icntCoresPerPort - 1) /
                      cfg.icntCoresPerPort;
     portRR_.assign(ports, 0);
-    chanHorizons_.resize(cfg.dramChannels);
+    portPass_.resize(ports);
+    stalePorts_.resize(ports);
+    for (unsigned port = 0; port < ports; ++port)
+        stalePorts_.set(port);
+    // Every channel's horizon starts stale.
+    MTP_ASSERT(cfg.dramChannels <= 64, "at most 64 DRAM channels");
+    chanHorizon_.assign(cfg.dramChannels, 0);
+    chanStale_ = cfg.dramChannels == 64 ? ~0ULL
+                                        : (1ULL << cfg.dramChannels) - 1;
+#if MTP_SLOW_CHECKS
+    chanVersion_.assign(cfg.dramChannels, 0);
+#endif
 }
 
 void
@@ -55,11 +67,14 @@ MemSystem::issue(CoreId core, Addr blockAddr, ReqType type, Cycle now,
     MTP_ASSERT(core < numCores_, "issue() from unknown core ", core);
     MTP_ASSERT(blockAlign(blockAddr) == blockAddr,
                "issue() address not block aligned");
-    bool pushed = mrqs_[core]->push(
-        MemRequest::make(blockAddr, type, core, now, bytes));
+    Mrq &mrq = *mrqs_[core];
+    const bool newHead = mrq.empty();
+    bool pushed = mrq.push(MemRequest::make(blockAddr, type, core, now, bytes));
     if (pushed) {
         ++inTransit_;
         ++mrqOccupancy_;
+        if (newHead)
+            dropPortPass(core / cfg_.icntCoresPerPort);
     }
     return pushed;
 }
@@ -110,32 +125,75 @@ MemSystem::injectFromPort(unsigned port, Cycle now)
     }
 }
 
+int
+MemSystem::gatedHeads(unsigned port, std::uint64_t &channels) const
+{
+    unsigned lo = port * cfg_.icntCoresPerPort;
+    unsigned members = std::min(cfg_.icntCoresPerPort, numCores_ - lo);
+    int stalls = 0;
+    channels = 0;
+    for (unsigned k = 0; k < members; ++k) {
+        const Mrq &mrq = *mrqs_[lo + k];
+        if (mrq.empty())
+            continue;
+        unsigned ch = channelOf(mrq.head().addr);
+        if (channels_[ch]->bufferOccupancy() + inFlightToChannel_[ch] <
+            cfg_.memBufEntries)
+            return -1;
+        ++stalls;
+        channels |= 1ULL << ch;
+    }
+    return stalls;
+}
+
+void
+MemSystem::dropPortPass(unsigned port)
+{
+    if (!stalePorts_.test(port)) {
+        stalePorts_.set(port);
+        cachedPassStalls_ -= portPass_[port].stalls;
+    }
+}
+
+void
+MemSystem::creditFreed(unsigned ch)
+{
+    for (unsigned port = 0; port < portPass_.size(); ++port) {
+        if (portPass_[port].channels >> ch & 1)
+            dropPortPass(port);
+    }
+}
+
 void
 MemSystem::deliverRequests(Cycle now)
 {
     // Deliver request packets into controller buffers.
     for (unsigned ch = 0; ch < channels_.size(); ++ch) {
-        while (reqNet_.frontReady(ch, now) && !channels_[ch]->bufferFull()) {
-            MemRequest arrived = reqNet_.pop(ch);
-            Addr addr = arrived.addr;
-            auto type = static_cast<std::uint8_t>(arrived.type);
-            CoreId origin = arrived.core;
-            if (channels_[ch]->insert(std::move(arrived))) {
-                // Inter-core merge: two in-transit requests became one.
-                // The surviving buffered request keeps its own
-                // DramEnqueue timestamp; no new lifecycle stage.
-                MTP_OBS_HOOK(tracer_, merged(addr, type, origin, ch, now));
-                MTP_ASSERT(inTransit_ > 0, "in-transit underflow on merge");
-                --inTransit_;
-            } else {
-                MTP_OBS_HOOK(tracer_,
-                             stage(obs::Stage::DramEnqueue, addr, type,
-                                   origin, ch, now));
-            }
-            MTP_ASSERT(inFlightToChannel_[ch] > 0, "in-flight underflow");
-            --inFlightToChannel_[ch];
-        }
+        while (reqNet_.frontReady(ch, now) && !channels_[ch]->bufferFull())
+            deliverRequest(ch, now);
     }
+}
+
+void
+MemSystem::deliverRequest(unsigned ch, Cycle now)
+{
+    MemRequest arrived = reqNet_.pop(ch);
+    Addr addr = arrived.addr;
+    auto type = static_cast<std::uint8_t>(arrived.type);
+    CoreId origin = arrived.core;
+    if (channels_[ch]->insert(std::move(arrived))) {
+        // Inter-core merge: two in-transit requests became one. The
+        // surviving buffered request keeps its own DramEnqueue
+        // timestamp; no new lifecycle stage.
+        MTP_OBS_HOOK(tracer_, merged(addr, type, origin, ch, now));
+        MTP_ASSERT(inTransit_ > 0, "in-transit underflow on merge");
+        --inTransit_;
+    } else {
+        MTP_OBS_HOOK(tracer_, stage(obs::Stage::DramEnqueue, addr, type,
+                                    origin, ch, now));
+    }
+    MTP_ASSERT(inFlightToChannel_[ch] > 0, "in-flight underflow");
+    --inFlightToChannel_[ch];
 }
 
 void
@@ -168,20 +226,25 @@ MemSystem::deliverResponses(Cycle now)
 {
     // Deliver responses to cores (MSHR retirement happens there).
     for (CoreId core = 0; core < numCores_; ++core) {
-        while (respNet_.frontReady(core, now)) {
-            if (completions_[core].empty())
-                deliveredTo_.push_back(core);
-            completions_[core].push_back(respNet_.pop(core));
-            MTP_ASSERT(inTransit_ > 0, "in-transit underflow on response");
-            --inTransit_;
-            ++completionsPending_;
-            if (tracer_) {
-                const MemRequest &resp = completions_[core].back();
-                tracer_->stage(obs::Stage::Return, resp.addr,
-                               static_cast<std::uint8_t>(resp.type),
-                               core, channelOf(resp.addr), now);
-            }
-        }
+        while (respNet_.frontReady(core, now))
+            deliverResponse(core, now);
+    }
+}
+
+void
+MemSystem::deliverResponse(CoreId core, Cycle now)
+{
+    if (completions_[core].empty())
+        deliveredTo_.push_back(core);
+    completions_[core].push_back(respNet_.pop(core));
+    MTP_ASSERT(inTransit_ > 0, "in-transit underflow on response");
+    --inTransit_;
+    ++completionsPending_;
+    if (tracer_) {
+        const MemRequest &resp = completions_[core].back();
+        tracer_->stage(obs::Stage::Return, resp.addr,
+                       static_cast<std::uint8_t>(resp.type), core,
+                       channelOf(resp.addr), now);
     }
 }
 
@@ -206,26 +269,78 @@ MemSystem::tickQueued(Cycle now)
     // Request delivery only when a packet's arrival time has passed; a
     // delivery blocked on a full controller buffer keeps the arrival
     // bound at or below now, so the phase re-runs every cycle until
-    // the packet lands (as the ungated loop would).
-    if (reqNet_.nextArrivalAt() <= now)
-        deliverRequests(now);
+    // the packet lands (as the ungated loop would). A delivery makes
+    // its channel's horizon stale, and a merge frees a credit.
+    if (reqNet_.nextArrivalAt() <= now) {
+        for (unsigned ch = 0; ch < channels_.size(); ++ch) {
+            if (reqNet_.frontArrivalAt(ch) > now)
+                continue;
+            const std::uint64_t inTransit = inTransit_;
+            while (reqNet_.frontArrivalAt(ch) <= now &&
+                   !channels_[ch]->bufferFull())
+                deliverRequest(ch, now);
+            chanStale_ |= 1ULL << ch;
+            if (inTransit_ != inTransit)
+                creditFreed(ch);
+        }
+    }
     // Channels only when their cached horizon is due. A future horizon
     // proves the ungated tick would neither retire nor schedule (the
-    // bound is never late), so skipping it is a no-op. deliverRequests
-    // ran first: an insert bumps the state version and invalidates the
-    // cache before this check, exactly like the ungated phase order.
-    for (unsigned ch = 0; ch < channels_.size(); ++ch) {
-        if (channelHorizonAt(ch, now) <= now)
+    // bound is never late), so skipping it is a no-op. The deliveries
+    // ran first and left their channels stale, exactly like the
+    // ungated phase order. A scheduled request frees a credit.
+    if (channelsDueAt(now) <= now) {
+        for (unsigned ch = 0; ch < channels_.size(); ++ch) {
+            if (chanHorizon_[ch] > now)
+                continue;
+            const std::size_t buffered = channels_[ch]->bufferOccupancy();
             tickChannel(ch, now);
+            chanStale_ |= 1ULL << ch;
+            if (channels_[ch]->bufferOccupancy() < buffered)
+                creditFreed(ch);
+        }
     }
     // Injection only when some MRQ is occupied; the ungated port loop
-    // is a pure no-op otherwise (empty MRQs count no stalls).
+    // is a pure no-op otherwise (empty MRQs count no stalls). A held
+    // pass books its stalls without running: the passes that do run
+    // only take credits, so it stays gated whatever they inject.
     if (mrqOccupancy_ > 0) {
-        for (unsigned port = 0; port < portRR_.size(); ++port)
+#if MTP_SLOW_CHECKS
+        // Each held pass, run again without side effects, books the
+        // same stalls and injects nothing.
+        for (unsigned port = 0; port < portPass_.size(); ++port) {
+            std::uint64_t channels = 0;
+            MTP_ASSERT(stalePorts_.test(port) ||
+                           (gatedHeads(port, channels) ==
+                                static_cast<int>(portPass_[port].stalls) &&
+                            channels == portPass_[port].channels),
+                       "cached injection pass of port ", port,
+                       " no longer holds at ", now);
+        }
+#endif
+        injCreditStalls_ += cachedPassStalls_;
+        stalePorts_.forEachSet([&](std::size_t p) {
+            const auto port = static_cast<unsigned>(p);
+            const std::uint64_t stalls = injCreditStalls_;
+            const std::uint64_t sent = reqNet_.packetsSent();
             injectFromPort(port, now);
+            if (reqNet_.packetsSent() != sent)
+                return; // the head and round-robin pointer moved
+            PortPass &pass = portPass_[port];
+            pass.stalls = static_cast<std::uint32_t>(injCreditStalls_ - stalls);
+            const int gated = gatedHeads(port, pass.channels);
+            MTP_ASSERT(gated == static_cast<int>(pass.stalls),
+                       "a pass that injected nothing left a head ungated");
+            cachedPassStalls_ += pass.stalls;
+            stalePorts_.clear(port);
+        });
     }
-    if (respNet_.nextArrivalAt() <= now)
-        deliverResponses(now);
+    if (respNet_.nextArrivalAt() <= now) {
+        for (CoreId core = 0; core < numCores_; ++core) {
+            while (respNet_.frontArrivalAt(core) <= now)
+                deliverResponse(core, now);
+        }
+    }
 }
 
 const std::vector<MemRequest> &
@@ -258,46 +373,34 @@ MemSystem::drained() const
 }
 
 Cycle
-MemSystem::channelHorizonAt(unsigned ch, Cycle now) const
+MemSystem::channelsDueAt(Cycle now) const
 {
-    ChanHorizon &cc = chanHorizons_[ch];
-    std::uint64_t v = channels_[ch]->stateVersion();
-    // A version match alone validates the cache, even when the cached
-    // bound is due: a DRAM channel's bound is exact (bank busyUntil and
-    // service doneAt cycles, not estimates), and a due channel always
-    // acts when ticked — retiring or scheduling — which bumps the
-    // version. A stale due bound therefore cannot survive a tick, and
-    // an untouched channel's bound cannot move.
-    if (cc.version == v) {
-        ++cc.hits;
+    horizonHits_ += channels_.size();
+    if (chanStale_ != 0) {
+        for (std::uint64_t bits = chanStale_; bits != 0; bits &= bits - 1) {
+            auto ch = static_cast<unsigned>(std::countr_zero(bits));
+            chanHorizon_[ch] = channels_[ch]->nextEventAt(now);
+            --horizonHits_;
+            ++horizonMisses_;
 #if MTP_SLOW_CHECKS
-        MTP_ASSERT(cc.horizon == channels_[ch]->nextEventAt(now),
-                   "stale channel horizon served from cache");
+            chanVersion_[ch] = channels_[ch]->stateVersion();
 #endif
-        return cc.horizon;
+        }
+        chanStale_ = 0;
+        chanMin_ = invalidCycle;
+        for (Cycle h : chanHorizon_)
+            chanMin_ = std::min(chanMin_, h);
     }
-    ++cc.misses;
-    cc.version = v;
-    cc.horizon = channels_[ch]->nextEventAt(now);
-    return cc.horizon;
-}
-
-std::uint64_t
-MemSystem::horizonHits() const
-{
-    std::uint64_t n = 0;
-    for (const ChanHorizon &cc : chanHorizons_)
-        n += cc.hits;
-    return n;
-}
-
-std::uint64_t
-MemSystem::horizonMisses() const
-{
-    std::uint64_t n = 0;
-    for (const ChanHorizon &cc : chanHorizons_)
-        n += cc.misses;
-    return n;
+#if MTP_SLOW_CHECKS
+    // A channel that did not turn stale has not acted, so its bound
+    // cannot have moved.
+    for (unsigned ch = 0; ch < channels_.size(); ++ch)
+        MTP_ASSERT(chanVersion_[ch] == channels_[ch]->stateVersion() &&
+                       chanHorizon_[ch] == channels_[ch]->nextEventAt(now),
+                   "channel ", ch, " acted without turning its horizon "
+                   "stale");
+#endif
+    return chanMin_;
 }
 
 Cycle
@@ -312,14 +415,7 @@ MemSystem::nextSelfEventAt(Cycle now) const
     Cycle e = std::min(reqNet_.nextArrivalAt(), respNet_.nextArrivalAt());
     if (e <= now)
         return now;
-    for (unsigned ch = 0; ch < channels_.size(); ++ch) {
-        Cycle c = channelHorizonAt(ch, now);
-        if (c <= now)
-            return now;
-        if (c < e)
-            e = c;
-    }
-    return e;
+    return std::max(now, std::min(e, channelsDueAt(now)));
 }
 
 bool

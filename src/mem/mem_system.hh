@@ -16,7 +16,9 @@
 #include <string>
 #include <vector>
 
+#include "common/bitutils.hh"
 #include "common/config.hh"
+#include "common/log.hh" // MTP_SLOW_CHECKS
 #include "common/stats.hh"
 #include "mem/dram.hh"
 #include "mem/icnt.hh"
@@ -49,13 +51,17 @@ class MemSystem
 
     /**
      * Event-queue variant of tick(): identical observable behaviour,
-     * but each phase runs only when it can act — network deliveries
-     * are gated on the cached earliest-arrival bounds, DRAM channels
-     * on their cached per-channel horizons (invalidated by
-     * DramChannel::stateVersion()), and injection on MRQ occupancy. A
-     * skipped phase is provably a no-op (it would neither move a
-     * request nor touch a counter), so results stay bit-identical with
-     * tick(); the naive loop keeps calling tick() as the oracle.
+     * but each phase does only the work that can act. Network
+     * deliveries are gated on the earliest-arrival bounds; DRAM
+     * channels on their cached horizons, recomputed only for channels
+     * that acted since; injection on MRQ occupancy, and within it a
+     * port's pass on whether it can differ from the last one (a pass
+     * that injected nothing books the same credit stalls until a
+     * channel frees a credit or one of the port's MRQs gains a head).
+     * Skipped work is provably a no-op beyond the stalls booked in its
+     * place, so results stay bit-identical with tick(); the naive loop
+     * keeps calling tick() as the oracle. A MemSystem is driven by one
+     * of the two for its whole run.
      */
     void tickQueued(Cycle now);
 
@@ -119,19 +125,19 @@ class MemSystem
      * network packet or schedule or retire a DRAM request — never later
      * than the true next state change (the event-horizon contract);
      * invalidCycle when nothing is in flight. Non-empty MRQs pin the
-     * bound to @p now (they arbitrate for injection every cycle).
-     * Pending completions do not: delivered completions wake their
-     * core directly (deliveredCores()), so they are the core's
-     * obligation, not the memory system's. Uses the per-channel
+     * bound to @p now: each cycle books their heads' credit stalls, or
+     * injects one. Pending completions do not: delivered completions
+     * wake their core directly (deliveredCores()), so they are the
+     * core's obligation, not the memory system's. Uses the per-channel
      * horizon cache.
      */
     Cycle nextSelfEventAt(Cycle now) const;
 
     /** Horizon-cache hits (per-channel bound served from cache). */
-    std::uint64_t horizonHits() const;
+    std::uint64_t horizonHits() const { return horizonHits_; }
 
     /** Horizon-cache misses (per-channel bound recomputed). */
-    std::uint64_t horizonMisses() const;
+    std::uint64_t horizonMisses() const { return horizonMisses_; }
 
     /** Total bytes moved over all DRAM data buses. */
     std::uint64_t dramBytes() const;
@@ -158,19 +164,40 @@ class MemSystem
     /** Try to inject one request from one of a port's cores. */
     void injectFromPort(unsigned port, Cycle now);
 
-    // tick() phases, shared verbatim by the gated tickQueued().
+    /**
+     * injectFromPort() of @p port run without side effects, for a pass
+     * that would inject nothing: the number of credit stalls it would
+     * book, with the channels of the gated heads in @p channels
+     * (bit ch); -1 if some head could inject.
+     */
+    int gatedHeads(unsigned port, std::uint64_t &channels) const;
+
+    // tick() phases; the gated tickQueued() runs the same steps.
     void deliverRequests(Cycle now);
     void tickChannel(unsigned ch, Cycle now);
     void deliverResponses(Cycle now);
 
+    /** Move the arrived front request of channel @p ch's pipe into
+     *  the channel's buffer. */
+    void deliverRequest(unsigned ch, Cycle now);
+    /** Move the arrived front response of @p core's pipe to the core. */
+    void deliverResponse(CoreId core, Cycle now);
+
     /**
-     * Cached nextEventAt() of channel @p ch, recomputed only when the
-     * channel's state version moved. A cached future bound proves the
-     * channel need not tick now; a cached due bound is still exact
-     * because every action on the channel bumps the version (see the
-     * exactness argument at the cache-hit test).
+     * The earliest cached channel horizon, after recomputing the
+     * nextEventAt() of every channel that acted since its bound was
+     * cached (the stale set). A DRAM channel's bound is exact and
+     * moves only when the channel acts — a request inserted or a tick
+     * that retires or schedules — and a due channel always acts when
+     * ticked, so a cached bound holds until its channel turns stale.
      */
-    Cycle channelHorizonAt(unsigned ch, Cycle now) const;
+    Cycle channelsDueAt(Cycle now) const;
+
+    /** A port's cached injection pass no longer holds: run it again. */
+    void dropPortPass(unsigned port);
+
+    /** Channel @p ch freed a credit: void the passes it gated. */
+    void creditFreed(unsigned ch);
 
     SimConfig cfg_;
     unsigned numCores_;
@@ -185,15 +212,36 @@ class MemSystem
     std::vector<CoreId> deliveredTo_; //!< cores woken by the last tick
     std::vector<CoreId> mrqFreedTo_;  //!< cores whose full MRQ popped
 
-    /** Per-channel horizon cache entry (see channelHorizonAt()). */
-    struct ChanHorizon
+    // Queued-loop state, kept by tickQueued() and nextSelfEventAt()
+    // (issue() also voids held passes); tick() never reads it.
+
+    /** Per-channel horizon cache (see channelsDueAt()). */
+    mutable std::vector<Cycle> chanHorizon_;
+    mutable Cycle chanMin_ = 0;
+    /** Channels whose cached horizon is stale (bit ch; at most 64). */
+    mutable std::uint64_t chanStale_;
+    mutable std::uint64_t horizonHits_ = 0;
+    mutable std::uint64_t horizonMisses_ = 0;
+#if MTP_SLOW_CHECKS
+    /** stateVersion() of each channel when its horizon was cached. */
+    mutable std::vector<std::uint64_t> chanVersion_;
+#endif
+
+    /**
+     * One port's last injection pass, kept while it holds: it injected
+     * nothing, so every occupied MRQ head of the port was credit-gated.
+     * It holds until a channel it was gated on frees a credit, or an
+     * MRQ of the port gains a head; until then each cycle's pass would
+     * book the same stalls and inject nothing.
+     */
+    struct PortPass
     {
-        std::uint64_t version = ~0ULL;
-        Cycle horizon = 0;
-        std::uint64_t hits = 0;
-        std::uint64_t misses = 0;
+        std::uint32_t stalls = 0;   //!< credit stalls the pass books
+        std::uint64_t channels = 0; //!< channels it is gated on (bit ch)
     };
-    mutable std::vector<ChanHorizon> chanHorizons_;
+    std::vector<PortPass> portPass_;
+    DynBitset stalePorts_;               //!< ports whose pass must run
+    std::uint64_t cachedPassStalls_ = 0; //!< stalls of all held passes
 
     /**
      * Requests currently in an MRQ, a network, or a channel (buffered,

@@ -4,11 +4,51 @@
 
 namespace mtp {
 
+std::size_t
+Mshr::findCell(Addr addr) const
+{
+    const std::size_t mask = index_.size() - 1;
+    std::size_t i = homeCell(addr);
+    while (index_[i].slot >= 0 && index_[i].addr != addr)
+        i = (i + 1) & mask;
+    return i;
+}
+
 Mshr::Entry *
 Mshr::find(Addr addr)
 {
-    auto it = map_.find(addr);
-    return it == map_.end() ? nullptr : &it->second;
+    int s = index_[findCell(addr)].slot;
+    return s < 0 ? nullptr : &slots_[s];
+}
+
+Mshr::Entry &
+Mshr::allocate(Addr addr, Cycle now)
+{
+    if (2 * (size() + 1) > index_.size()) {
+        // Keep the index at most half full: rehash into twice the cells.
+        std::vector<Cell> old(2 * index_.size());
+        old.swap(index_);
+        --indexShift_;
+        for (const Cell &cell : old) {
+            if (cell.slot >= 0)
+                index_[findCell(cell.addr)] = cell;
+        }
+    }
+    int s;
+    if (freeSlots_.empty()) {
+        s = static_cast<int>(slots_.size());
+        slots_.emplace_back();
+    } else {
+        s = freeSlots_.back();
+        freeSlots_.pop_back();
+    }
+    index_[findCell(addr)] = {addr, s};
+    Entry &entry = slots_[s];
+    entry.waiters.clear();
+    entry.prefetch = false;
+    entry.demandJoined = false;
+    entry.created = now;
+    return entry;
 }
 
 bool
@@ -24,10 +64,7 @@ Mshr::demandAccess(Addr addr, const Waiter &waiter, Cycle now)
         return true;
     }
     MTP_ASSERT(!full(), "demandAccess() allocation on a full MSHR");
-    Entry entry;
-    entry.waiters.push_back(waiter);
-    entry.created = now;
-    map_.emplace(addr, std::move(entry));
+    allocate(addr, now).waiters.push_back(waiter);
     ++demandEntries_;
     return false;
 }
@@ -43,21 +80,30 @@ Mshr::prefetchAccess(Addr addr, Cycle now)
     }
     MTP_ASSERT(!prefetchFull(),
                "prefetchAccess() allocation on a full prefetch pool");
-    Entry entry;
-    entry.prefetch = true;
-    entry.created = now;
-    map_.emplace(addr, std::move(entry));
+    allocate(addr, now).prefetch = true;
     ++prefetchEntries_;
     return false;
 }
 
-Mshr::Entry
+const Mshr::Entry &
 Mshr::retire(Addr addr)
 {
-    auto it = map_.find(addr);
-    MTP_ASSERT(it != map_.end(), "response for untracked block ", addr);
-    Entry entry = std::move(it->second);
-    map_.erase(it);
+    std::size_t i = findCell(addr);
+    const int s = index_[i].slot;
+    MTP_ASSERT(s >= 0, "response for untracked block ", addr);
+    // Backward-shift deletion: pull later cells of the probe run into
+    // the hole unless that would move one before its home cell.
+    const std::size_t mask = index_.size() - 1;
+    for (std::size_t j = (i + 1) & mask; index_[j].slot >= 0;
+         j = (j + 1) & mask) {
+        if (((j - homeCell(index_[j].addr)) & mask) >= ((j - i) & mask)) {
+            index_[i] = index_[j];
+            i = j;
+        }
+    }
+    index_[i] = Cell{};
+    freeSlots_.push_back(s);
+    const Entry &entry = slots_[s];
     if (entry.prefetch) {
         MTP_ASSERT(prefetchEntries_ > 0, "prefetch entry underflow");
         --prefetchEntries_;

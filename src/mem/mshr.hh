@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/stats.hh"
@@ -74,13 +73,13 @@ class Mshr
         return prefetchEntries_ >= prefetchCapacity_;
     }
 
-    std::size_t size() const { return map_.size(); }
+    std::size_t size() const { return demandEntries_ + prefetchEntries_; }
 
     /** @return the entry tracking @p addr, or nullptr. */
     Entry *find(Addr addr);
 
     /** @return true iff @p addr is in flight (no state change). */
-    bool contains(Addr addr) const { return map_.contains(addr); }
+    bool contains(Addr addr) const { return index_[findCell(addr)].slot >= 0; }
 
     /**
      * Demand-load lookup/merge. If the block is in flight, the waiter
@@ -100,10 +99,11 @@ class Mshr
 
     /**
      * Retire the entry for a returned block.
-     * @return its contents; panics if absent (every tracked response
-     *         must have an entry).
+     * @return its contents, valid until the next demandAccess() or
+     *         prefetchAccess(); panics if absent (every tracked
+     *         response must have an entry).
      */
-    Entry retire(Addr addr);
+    const Entry &retire(Addr addr);
 
     /** Record @p n stalls caused by MSHR exhaustion. */
     void noteFullStall(std::uint64_t n = 1) { counters_.fullStalls += n; }
@@ -114,11 +114,42 @@ class Mshr
     void exportStats(StatSet &set, const std::string &prefix) const;
 
   private:
+    /** One index cell: an in-flight block and its entry's slot. */
+    struct Cell
+    {
+        Addr addr = 0;
+        int slot = -1; //!< -1: empty cell
+    };
+
+    /** Probe start of @p addr in the index. */
+    std::size_t
+    homeCell(Addr addr) const
+    {
+        // Fibonacci hashing of the block index: the top bits of the
+        // product pick one of the power-of-two cells.
+        return (blockIndex(addr) * 0x9e3779b97f4a7c15ULL) >> indexShift_;
+    }
+    /** Cell holding @p addr, or the empty cell where it would go. */
+    std::size_t findCell(Addr addr) const;
+    /** A fresh entry for @p addr, created at @p now. */
+    Entry &allocate(Addr addr, Cycle now);
+
     unsigned demandCapacity_;
     unsigned prefetchCapacity_;
     unsigned demandEntries_ = 0;
     unsigned prefetchEntries_ = 0;
-    std::unordered_map<Addr, Entry> map_;
+    /**
+     * Entries live in a pool of slots that grows to the most blocks
+     * ever in flight at once; a retired slot keeps its waiter list's
+     * storage for the next entry, so a steady state allocates nothing.
+     * A flat open-addressed index (linear probing with backward-shift
+     * deletion, at most half full) maps each in-flight block to its
+     * slot.
+     */
+    std::vector<Entry> slots_;
+    std::vector<int> freeSlots_;
+    std::vector<Cell> index_ = std::vector<Cell>(16);
+    unsigned indexShift_ = 64 - 4; //!< 64 - log2(index_.size())
     Counters counters_;
 };
 

@@ -136,7 +136,7 @@ Core::drainCompletions(Cycle now)
 {
     const auto &list = mem_->completions(id_);
     for (const auto &req : list) {
-        Mshr::Entry entry = mshr_.retire(req.addr);
+        const Mshr::Entry &entry = mshr_.retire(req.addr);
         if (entry.prefetch) {
             Addr earlyEvicted = invalidAddr;
             prefCache_.fill(req.addr, &earlyEvicted);

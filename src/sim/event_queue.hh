@@ -77,15 +77,25 @@ class EventQueue
     /** Record that a due component was processed (stats only). */
     void notePop() { ++pops_; }
 
-    /** Earliest armed cycle over all components (invalidCycle if all
-     *  parked). */
+    /**
+     * Earliest armed cycle over all components (invalidCycle if all
+     * parked), raised to @p floor: a caller about to step @p floor
+     * either way need not learn how much earlier the minimum is. The
+     * rescan after the minimum moved later stops at the first key at
+     * or below @p floor, and leaves the cached minimum dirty.
+     */
     Cycle
-    earliest() const
+    earliest(Cycle floor = 0) const
     {
+        Cycle e = minKey_;
         if (minDirty_) {
-            minKey_ = invalidCycle;
-            for (Cycle k : keys_)
-                minKey_ = std::min(minKey_, k);
+            e = invalidCycle;
+            for (Cycle k : keys_) {
+                if (k <= floor)
+                    return floor;
+                e = std::min(e, k);
+            }
+            minKey_ = e;
             minDirty_ = false;
         }
 #if MTP_SLOW_CHECKS
@@ -95,7 +105,7 @@ class EventQueue
         MTP_ASSERT(scan == minKey_,
                    "EventQueue cached minimum out of sync");
 #endif
-        return minKey_;
+        return std::max(e, floor);
     }
 
     /** Key updates that changed a component's armed cycle. */

@@ -479,7 +479,7 @@ Gpu::runQueued()
             obs::HostScope hostSkip(obs::HostPhase::HorizonSkip, hp);
             // Jump straight to the earliest armed event. Capping at
             // maxCycles keeps the deadlock diagnostic identical.
-            Cycle next = queue_.earliest();
+            Cycle next = queue_.earliest(now_);
             Cycle target = std::min(next, cfg_.maxCycles);
             if (target > now_) {
                 bulkWarpSamples(now_, target);

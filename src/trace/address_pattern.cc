@@ -7,7 +7,7 @@ namespace mtp {
 Addr
 AddressPattern::laneAddr(std::uint64_t tid, std::uint64_t iter) const
 {
-    if (scatterFrac > 0.0 && scatterSpan >= blockBytes) {
+    if (scatters()) {
         // Deterministic per-(thread, iteration) scatter decision. The
         // hash is uniform in [0, 2^64); compare against the fraction.
         std::uint64_t h = mix64(tid * 0x100000001b3ULL + iter +

@@ -51,6 +51,13 @@ struct AddressPattern
      */
     Addr laneAddr(std::uint64_t tid, std::uint64_t iter) const;
 
+    /** @return true iff laneAddr() ever leaves the affine stream. */
+    bool
+    scatters() const
+    {
+        return scatterFrac > 0.0 && scatterSpan >= blockBytes;
+    }
+
     /**
      * The regular (non-scattered) address, i.e. the affine part. Used by
      * software-prefetch transforms, which target the regular stream.

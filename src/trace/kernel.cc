@@ -108,13 +108,6 @@ WarpCursor::WarpCursor(const KernelDesc *kernel)
     normalize();
 }
 
-const StaticInst &
-WarpCursor::inst() const
-{
-    MTP_ASSERT(!done_, "inst() on a finished WarpCursor");
-    return kernel_->segments[seg_].insts[idx_];
-}
-
 void
 WarpCursor::advance()
 {

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/log.hh"
 #include "common/types.hh"
 #include "trace/instruction.hh"
 
@@ -98,7 +99,12 @@ class WarpCursor
     bool done() const { return done_; }
 
     /** Current static instruction; cursor must not be done. */
-    const StaticInst &inst() const;
+    const StaticInst &
+    inst() const
+    {
+        MTP_ASSERT(!done_, "inst() on a finished WarpCursor");
+        return kernel_->segments[seg_].insts[idx_];
+    }
 
     /** Loop iteration (trip index) of the current instruction. */
     std::uint64_t iter() const { return trip_; }

@@ -88,6 +88,16 @@ TEST(MemRequest, MergeDeduplicatesSharers)
     MemRequest b = MemRequest::make(0, ReqType::DemandLoad, 3, 1);
     a.mergeFrom(std::move(b));
     EXPECT_EQ(a.sharers.size(), 1u);
+
+    // Past the sharers held in place, in join order, each core once.
+    for (CoreId core : {1u, 2u, 4u, 2u, 5u, 3u})
+        a.mergeFrom(MemRequest::make(0, ReqType::DemandLoad, core, 2));
+    const CoreId joined[] = {3, 1, 2, 4, 5};
+    ASSERT_EQ(a.sharers.size(), 5u);
+    for (std::size_t i = 0; i < 5; ++i)
+        EXPECT_EQ(a.sharers[i], joined[i]) << "sharer " << i;
+    MemRequest copy = a;
+    EXPECT_TRUE(copy.sharers == a.sharers);
 }
 
 } // namespace

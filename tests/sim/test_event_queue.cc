@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -81,7 +82,9 @@ TEST(EventQueue, ParkedComponentsUseInvalidCycle)
 TEST(EventQueue, MatchesNaiveMinOverOpSequence)
 {
     // Deterministic pseudo-random op sequence: after every arm, the
-    // cached earliest() must equal an exhaustive scan of the keys.
+    // cached earliest() must equal an exhaustive scan of the keys, and
+    // earliest(floor) that scan raised to the floor. A floor query may
+    // stop its rescan early; the plain query after it stays exact.
     EventQueue q;
     const std::size_t n = 8;
     q.reset(n);
@@ -96,6 +99,11 @@ TEST(EventQueue, MatchesNaiveMinOverOpSequence)
             q.arm(id, at);
         else
             q.armEarlier(id, at);
+        if (op % 2 == 0) {
+            Cycle floor = (state >> 48) & 0xff;
+            ASSERT_EQ(q.earliest(floor), std::max(naiveMin(q), floor))
+                << "op " << op;
+        }
         ASSERT_EQ(q.earliest(), naiveMin(q)) << "op " << op;
     }
 }

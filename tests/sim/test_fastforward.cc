@@ -85,6 +85,34 @@ expectBitIdentical(const RunResult &fast, const RunResult &naive,
         << label;
 }
 
+/**
+ * Every core loads the same two blocks per trip, so requests of
+ * different cores meet in the DRAM request buffer and merge there.
+ */
+KernelDesc
+sharedBlocksKernel()
+{
+    KernelDesc k;
+    k.name = "shared_blocks";
+    k.warpsPerBlock = 2;
+    k.numBlocks = 8;
+    k.maxBlocksPerCore = 1;
+    Segment loop;
+    loop.trips = 16;
+    for (int slot = 0; slot < 2; ++slot) {
+        AddressPattern p;
+        p.base = 0x5000'0000ULL + (static_cast<Addr>(slot) << 20);
+        p.threadStride = 0;
+        p.iterStride = blockBytes;
+        loop.insts.push_back(StaticInst::load(p, slot));
+    }
+    loop.insts.push_back(StaticInst::compUse(0, 1, 1));
+    loop.insts.push_back(StaticInst::branch());
+    k.segments.push_back(loop);
+    k.finalize();
+    return k;
+}
+
 std::vector<std::pair<std::string, KernelDesc>>
 goldenKernels()
 {
@@ -101,6 +129,7 @@ goldenKernels()
         "swpref_mtswp",
         applySwPrefetch(test::tinyStreamKernel(2, 4, 6, 1),
                         SwPrefKind::StrideIP, SwPrefetchOptions{}));
+    kernels.emplace_back("shared_blocks", sharedBlocksKernel());
     return kernels;
 }
 
@@ -166,6 +195,14 @@ goldenConfigs()
     perfect.perfectMemory = true;
     configs.emplace_back("perfect_memory", perfect);
 
+    // Four cores on a two-entry controller buffer: MRQ heads wait on
+    // channel credit, and shared blocks merge in the buffer.
+    SimConfig credit = test::tinyConfig();
+    credit.numCores = 4;
+    credit.mrqEntries = 2;
+    credit.memBufEntries = 2;
+    configs.emplace_back("cores4_buf2", credit);
+
     for (auto &entry : blockingConfigs())
         configs.push_back(std::move(entry));
     return configs;
@@ -187,11 +224,15 @@ sumOverCores(const RunResult &r, const std::string &prefix,
  * produce byte-identical results in both scheduler modes — the naive
  * oracle and the event-queue schedule. The matrix must also reach
  * every way the LSU blocks: a load on a full MSHR, a load on a full
- * MRQ and a store on a full MRQ.
+ * MRQ and a store on a full MRQ; and an MRQ head held back by channel
+ * credit, whose repeated injection passes the queued loop books from
+ * its cached pass, in a run where requests also merge in the DRAM
+ * request buffer (a merge frees a credit).
  */
 TEST(FastForwardGolden, MatrixIdentical)
 {
-    double mshrFull = 0.0, mrqGated = 0.0, mrqFull = 0.0;
+    double mshrFull = 0.0, mrqGated = 0.0, mrqFull = 0.0, credit = 0.0;
+    bool mergeUnderCredit = false;
     for (const auto &[cname, cfg] : goldenConfigs()) {
         for (const auto &[kname, kernel] : goldenKernels()) {
             SimConfig naive = cfg;
@@ -204,11 +245,21 @@ TEST(FastForwardGolden, MatrixIdentical)
             mshrFull += sumOverCores(oracle, "core", "mshr.fullStalls");
             mrqGated += sumOverCores(oracle, "mem.core", "mrq.gatedStalls");
             mrqFull += sumOverCores(oracle, "mem.core", "mrq.fullStalls");
+            const double stalls = oracle.stats.get("mem.injCreditStalls");
+            double merges = 0.0;
+            for (unsigned ch = 0; ch < cfg.dramChannels; ++ch)
+                merges += oracle.stats.get("mem.dram" + std::to_string(ch) +
+                                           ".interCoreMerges");
+            credit += stalls;
+            mergeUnderCredit = mergeUnderCredit || (stalls > 0 && merges > 0);
         }
     }
     EXPECT_GT(mshrFull, 0.0) << "no load blocked on a full MSHR";
     EXPECT_GT(mrqGated, 0.0) << "no load blocked on a full MRQ";
     EXPECT_GT(mrqFull, 0.0) << "no store blocked on a full MRQ";
+    EXPECT_GT(credit, 0.0) << "no injection held back by channel credit";
+    EXPECT_TRUE(mergeUnderCredit)
+        << "no run both gates injection on credit and merges requests";
 }
 
 /**

@@ -77,6 +77,15 @@ TEST(Coalescer, StraddlingElementTouchesBothBlocks)
     EXPECT_EQ(txns.size(), 64u);
     EXPECT_EQ(txns[0].addr, 0x10000u);
     EXPECT_EQ(txns[1].addr, 0x10040u);
+
+    // Contiguous 8 B lanes from 4 B before a boundary: the first block
+    // gets 4 B (sparse), the last 60 B (dense), three full ones between.
+    coalesceWarpAccess(pattern(0x1003C, 8, 8), 0, 0, txns);
+    ASSERT_EQ(txns.size(), 5u);
+    for (std::size_t i = 0; i < txns.size(); ++i) {
+        EXPECT_EQ(txns[i].addr, 0x10000u + i * blockBytes);
+        EXPECT_EQ(txns[i].bytes, i == 0 ? minTxnBytes : blockBytes);
+    }
 }
 
 TEST(Coalescer, DuplicateBlocksMergeIntoOneTransaction)
