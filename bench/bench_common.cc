@@ -25,8 +25,13 @@ parseArgs(int argc, char **argv, const std::vector<cli::Flag> &extra,
          [&](const cli::Arg &a) { opts.setScale(a.number(1u)); }},
         {"--bench", "LIST", "benchmarks to run (comma list)",
          [&](const cli::Arg &a) { opts.benchmarks = a.list(); }},
-        {"--jobs", "N", "parallel simulations (default: all cores)",
-         [&](const cli::Arg &a) { opts.jobs = a.number(1u); }},
+        {"--jobs", "N", "parallel simulations (default: all cores; max 1024)",
+         [&](const cli::Arg &a) {
+             // Capped like numCores: refused before any thread starts.
+             opts.jobs = a.number(1u);
+             if (opts.jobs > 1024)
+                 a.fail("--jobs must be <= 1024");
+         }},
         {"--sample-period", "N", "sample time-series probes every N cycles",
          [&](const cli::Arg &a) { opts.samplePeriod = a.number<Cycle>(); }},
         {"--quiet", "", "print no report to stdout",
@@ -92,26 +97,6 @@ HostObs::finish(const StatSet &counters)
     return profilePath_;
 }
 
-StatSet
-hostCounters(const driver::RunCache &cache,
-             const driver::ParallelExecutor &exec)
-{
-    StatSet s;
-    s.add("host.cache.hits", static_cast<double>(cache.hits()),
-          "run-cache submissions served from an entry");
-    s.add("host.cache.misses", static_cast<double>(cache.misses()),
-          "distinct runs scheduled");
-    s.add("host.cache.entries", static_cast<double>(cache.size()),
-          "distinct entries resident");
-    s.add("host.exec.threads", static_cast<double>(exec.threads()),
-          "executor worker threads");
-    s.add("host.exec.executed", static_cast<double>(exec.executed()),
-          "tasks finished so far");
-    s.add("host.exec.steals", static_cast<double>(exec.steals()),
-          "tasks stolen across worker deques");
-    return s;
-}
-
 SimConfig
 baseConfig(const Options &opts)
 {
@@ -147,6 +132,21 @@ sweepSubset()
         "cfd", "sepia",              // uncoal-type
     };
     return subset;
+}
+
+StatSet
+Runner::hostCounters() const
+{
+    StatSet s;
+    s.add("host.cache.hits", static_cast<double>(cache_.hits()),
+          "run-cache submissions served from an entry");
+    s.add("host.cache.misses", static_cast<double>(cache_.misses()),
+          "distinct runs scheduled");
+    s.add("host.exec.threads", static_cast<double>(exec_.threads()),
+          "executor worker threads");
+    s.add("host.exec.executed", static_cast<double>(exec_.executed()),
+          "tasks finished so far");
+    return s;
 }
 
 std::vector<std::string>

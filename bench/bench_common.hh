@@ -87,11 +87,6 @@ Options parseArgs(int argc, char **argv,
                   const std::vector<cli::Flag> &extra = {},
                   HostObs *host = nullptr);
 
-/** The host.* counters of an executor and its run cache, as --stats
- *  dumps and host profiles carry them. */
-StatSet hostCounters(const driver::RunCache &cache,
-                     const driver::ParallelExecutor &exec);
-
 /** Table II baseline with the scaled throttle period + overrides. */
 SimConfig baseConfig(const Options &opts);
 
@@ -110,12 +105,14 @@ const std::vector<std::string> &sweepSubset();
 double geomean(const std::vector<double> &values);
 
 /**
- * Memoized, parallel simulation front end of every harness.
+ * Memoized, parallel simulation front end of every harness and of
+ * mtp-sim.
  *
- * Backed by the driver's work-stealing executor and its thread-safe
- * RunCache (keyed by the full config dump plus a content hash of the
- * kernel's instruction stream — see src/driver/fingerprint.hh), so a
- * run shared by several figures of one campaign simulates once.
+ * Backed by the driver's executor (one FIFO queue of runs) and its
+ * thread-safe RunCache (keyed by the full config dump plus a content
+ * hash of the kernel's instruction stream — see
+ * src/driver/fingerprint.hh), so a run shared by several figures of
+ * one campaign simulates once.
  *
  * A harness declares each run once: submit() schedules it and returns
  * its handle, and the harness reads the handles after its whole matrix
@@ -136,16 +133,26 @@ class Runner
     std::shared_future<RunResult>
     submit(const SimConfig &cfg, const KernelDesc &kernel)
     {
-        return cache_.submit(cfg, kernel, obsDefaults_);
+        return submit(cfg, kernel, obsDefaults_);
+    }
+
+    /** submit() observed by @p ocfg instead of the defaults (mtp-sim's
+     *  per-kernel output files). RunCache::submit() says when an
+     *  ObsConfig takes effect. */
+    std::shared_future<RunResult>
+    submit(const SimConfig &cfg, const KernelDesc &kernel,
+           const obs::ObsConfig &ocfg)
+    {
+        return cache_.submit(cfg, kernel, ocfg);
     }
 
     /** Worker threads actually in use. */
     unsigned jobs() const { return exec_.threads(); }
 
     /**
-     * Observation applied to every submission (the campaign runner's
-     * live-progress forwarding). Like every ObsConfig it never enters
-     * the fingerprint or changes results.
+     * Observation applied to every submission that names none (the
+     * campaign runner's live-progress forwarding). Like every
+     * ObsConfig it never enters the fingerprint or changes results.
      */
     void setObsDefaults(const obs::ObsConfig &ocfg) { obsDefaults_ = ocfg; }
 
@@ -158,11 +165,9 @@ class Runner
     /** Runs that have finished executing so far. */
     std::uint64_t executed() const { return exec_.executed(); }
 
-    /** Runs stolen across worker deques (load-imbalance telemetry). */
-    std::uint64_t steals() const { return exec_.steals(); }
-
-    /** The host.* counters (hostCounters()). */
-    StatSet hostCounters() const { return bench::hostCounters(cache_, exec_); }
+    /** The host.* counters of the run cache and the executor, as
+     *  --stats dumps and host profiles carry them. */
+    StatSet hostCounters() const;
 
     /**
      * Fingerprint tag of every distinct run from the @p from-th on, in

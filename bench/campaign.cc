@@ -324,7 +324,6 @@ runCampaign(const Options &opts, const std::vector<std::string> &only,
     res.runsExecuted = runner.cacheMisses();
     res.cacheHits = runner.cacheHits();
     res.cacheMisses = runner.cacheMisses();
-    res.steals = runner.steals();
     res.hostCounters = runner.hostCounters();
     res.runsPerSec = res.wallSeconds > 0.0
                          ? static_cast<double>(res.runsExecuted) /
@@ -407,7 +406,6 @@ writeManifest(std::ostream &os, const CampaignResult &res,
             .field("runsExecuted", res.runsExecuted)
             .field("cacheHits", res.cacheHits)
             .field("cacheMisses", res.cacheMisses)
-            .field("steals", res.steals)
             .field("runsPerSec", res.runsPerSec);
         w.key("figureWallSeconds").beginObject();
         for (const auto &f : res.figures)

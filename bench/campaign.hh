@@ -217,9 +217,11 @@ struct CampaignResult
     std::uint64_t runsExecuted = 0;
     std::uint64_t cacheHits = 0;
     std::uint64_t cacheMisses = 0;
-    // Host-side scheduling telemetry (DESIGN.md §12). Session data:
-    // legitimately varies run to run, excluded from the diff gate.
+    /** Always 0: the executor has one queue and steals nothing. Kept
+     *  only because perfbench/ reads it. */
     std::uint64_t steals = 0;
+    // Session data (DESIGN.md §12): legitimately varies run to run,
+    // excluded from the diff gate.
     double runsPerSec = 0.0;
     StatSet hostCounters; //!< the Runner's host.* counters (hostCounters())
     std::vector<FigureRun> figures;

@@ -156,12 +156,6 @@ class DynBitset
         }
     }
 
-    /** Legacy name of findNextSet(). */
-    std::size_t findFrom(std::size_t from) const
-    {
-        return findNextSet(from);
-    }
-
     /**
      * Invoke @p fn(baseIndex, word) for every non-zero 64-bit word, in
      * ascending order; bit b of @p word is entry baseIndex + b. The

@@ -1,6 +1,6 @@
 /**
  * @file
- * Work-stealing thread pool for run-level parallelism.
+ * Thread pool for run-level parallelism.
  *
  * The simulator is strictly single-threaded *within* one run (a `Gpu`
  * is non-copyable and owns all of its state), but independent
@@ -8,14 +8,13 @@
  * win for a trace-driven simulator is therefore to execute whole runs
  * concurrently ("Parallelizing a modern GPU simulator", Huerta et al.).
  *
- * ParallelExecutor implements a work-stealing shape tuned for flat
- * fan-out: every worker owns a deque, runs it FIFO from the front
- * (harnesses consume results in submission order, so oldest-first
- * minimizes result() blocking — and a 1-worker pool degenerates to
- * exactly the sequential submission order), and when empty steals
- * from the *back* of a victim's deque to keep owner/thief contention
- * on opposite ends. External submissions are dealt round-robin across
- * the worker deques so a cold pool starts balanced.
+ * ParallelExecutor is one FIFO queue of tasks that every worker takes
+ * from under one mutex. The traffic it serves is one submitting thread
+ * and tasks of tens of milliseconds (one simulation each), so the lock
+ * is never the bottleneck. Harnesses consume results in submission
+ * order, so running oldest-first minimizes how long the next result
+ * blocks, and a 1-worker pool runs tasks in exactly the sequential
+ * submission order.
  *
  * Futures returned by submit() are ordinary std::futures: block on
  * them in whatever order you want to consume results. Blocking on a
@@ -28,7 +27,7 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <future>
@@ -58,7 +57,7 @@ class ParallelExecutor
     ParallelExecutor &operator=(const ParallelExecutor &) = delete;
 
     /** Number of worker threads. */
-    unsigned threads() const { return static_cast<unsigned>(queues_.size()); }
+    unsigned threads() const { return static_cast<unsigned>(workers_.size()); }
 
     /** std::thread::hardware_concurrency with a floor of 1. */
     static unsigned defaultThreads();
@@ -70,13 +69,10 @@ class ParallelExecutor
      */
     std::uint64_t executed() const { return executed_.load(); }
 
-    /** Tasks stolen from another worker's deque (for tests). */
-    std::uint64_t steals() const { return steals_.load(); }
-
     /**
-     * Enqueue @p fn and return a future for its result. Safe to call
-     * from any thread, including worker threads (a worker pushes onto
-     * its own deque, avoiding cross-thread round-robin traffic).
+     * Enqueue @p fn at the back of the queue and return a future for
+     * its result. Safe to call from any thread, including worker
+     * threads.
      */
     template <typename F>
     auto
@@ -103,37 +99,22 @@ class ParallelExecutor
         ~CountOnExit() { executed.fetch_add(1); }
     };
 
-    /** One worker's deque; owner pops the front, thieves the back. */
-    struct Queue
-    {
-        std::mutex mutex;
-        std::deque<std::function<void()>> tasks;
-    };
-
     void enqueue(std::function<void()> fn);
     void workerLoop(unsigned self);
-    bool popOwn(unsigned self, std::function<void()> &out);
-    bool steal(unsigned self, std::function<void()> &out);
 
-    std::vector<std::unique_ptr<Queue>> queues_;
-    std::vector<std::thread> workers_;
-
-    // Sleep/wake machinery: pending_ counts queued-but-unstarted tasks;
-    // workers sleep on cv_ when every deque is empty.
-    std::mutex sleepMutex_;
+    // Queued-but-unstarted tasks; workers sleep on cv_ while it is
+    // empty and the pool is not shutting down.
+    std::mutex mutex_;
     std::condition_variable cv_;
-    std::size_t pending_ = 0;
+    std::deque<std::function<void()>> tasks_;
     bool shutdown_ = false;
 
-    std::atomic<std::uint64_t> nextQueue_{0}; //!< external round-robin
     std::atomic<std::uint64_t> executed_{0};
-    std::atomic<std::uint64_t> steals_{0};
 
-    /** Flight-recorder liveness gauge mirroring pending_. */
+    /** Flight-recorder liveness gauge mirroring tasks_.size(). */
     obs::FlightRecorder::Gauge pendingGauge_;
 
-    // Worker threads look their own index up here.
-    static thread_local int workerIndex_;
+    std::vector<std::thread> workers_;
 };
 
 } // namespace driver

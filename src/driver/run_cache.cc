@@ -32,13 +32,6 @@ RunCache::submit(const SimConfig &cfg, const KernelDesc &kernel,
     return run;
 }
 
-std::size_t
-RunCache::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return entries_.size();
-}
-
 std::vector<Fingerprint>
 RunCache::entries(std::size_t from) const
 {

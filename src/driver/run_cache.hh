@@ -68,14 +68,12 @@ class RunCache
                                          const KernelDesc &kernel,
                                          const obs::ObsConfig &ocfg = {});
 
-    /** Distinct runs scheduled (cache misses). */
+    /** Distinct runs scheduled (cache misses); each created one
+     *  entry, and entries are never evicted. */
     std::uint64_t misses() const { return misses_.load(); }
 
     /** Submissions served from an existing entry. */
     std::uint64_t hits() const { return hits_.load(); }
-
-    /** Number of distinct entries. */
-    std::size_t size() const;
 
     /** Fingerprints of the entries in creation order, from the
      *  @p from-th on. Thread-safe. */

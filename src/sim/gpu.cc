@@ -258,6 +258,8 @@ Gpu::step()
                 ++activeWarpSamples_;
             }
         }
+        obs::FlightRecorder::beat();
+        cycleGauge_.set(now_);
     }
     // Sample after every component ticked this cycle: the row reflects
     // end-of-cycle state. Reading counters has no side effects, so the
@@ -314,10 +316,13 @@ Gpu::bulkWarpSamples(Cycle from, Cycle to)
 RunResult
 Gpu::run()
 {
+    cycleGauge_ = obs::FlightRecorder::acquireGauge(
+        "run" + std::to_string(nextHostRunSeq()) + ".cycle");
     if (cfg_.fastForward)
         runQueued();
     else
         runNaive();
+    obs::FlightRecorder::releaseGauge(cycleGauge_);
     RunResult result = summarize();
     if (obs_)
         obs_->finish();
@@ -354,9 +359,6 @@ Gpu::runQueued()
     // Host-profiler scopes test this hoisted bool: the per-iteration
     // disabled cost is a predicted branch.
     const bool hp = obs::HostProfiler::enabled();
-    hostRunSeq_ = nextHostRunSeq();
-    obs::FlightRecorder::Gauge gCycle = obs::FlightRecorder::acquireGauge(
-        "run" + std::to_string(hostRunSeq_) + ".cycle");
     while (!done()) {
         if (now_ >= cfg_.maxCycles)
             MTP_FATAL("simulation of '", kernel_.name, "' exceeded ",
@@ -452,7 +454,7 @@ Gpu::runQueued()
                 }
             }
             obs::FlightRecorder::beat();
-            gCycle.set(t);
+            cycleGauge_.set(t);
         }
         if (obs_ && queue_.key(samplerId) <= t) {
             obs::HostScope hostSample(obs::HostPhase::Sample, hp);
@@ -494,7 +496,6 @@ Gpu::runQueued()
     for (CoreId c = 0; c < n; ++c)
         if (coreSettledTo_[c] < now_)
             cores_[c]->accountSkip(coreSettledTo_[c], now_);
-    obs::FlightRecorder::releaseGauge(gCycle);
 }
 
 RunResult

@@ -14,6 +14,7 @@
 #include "common/config.hh"
 #include "common/stats.hh"
 #include "mem/mem_system.hh"
+#include "obs/flight_recorder.hh"
 #include "obs/observer.hh"
 #include "sim/core.hh"
 #include "sim/event_queue.hh"
@@ -208,12 +209,13 @@ class Gpu
     obs::Observer *obs_ = nullptr;
 
     /**
-     * Flight-recorder namespace for this run's liveness gauges
-     * ("run<seq>.cycle" etc., DESIGN.md §12); assigned from a global
-     * sequence at the start of each run loop so concurrent runs never
-     * collide. Diagnostic only — never read by the simulation.
+     * Flight-recorder gauge of the cycle the run reached
+     * ("run<seq>.cycle", DESIGN.md §12), named from a global sequence
+     * so concurrent runs never collide. run() holds it for either
+     * loop; both set it where they beat. Diagnostic only — never read
+     * by the simulation.
      */
-    std::uint64_t hostRunSeq_ = 0;
+    obs::FlightRecorder::Gauge cycleGauge_;
 };
 
 /** Convenience: construct, run, summarize. */

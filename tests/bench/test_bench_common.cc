@@ -37,7 +37,8 @@ TEST(BenchCommon, ParseArgs)
     // --bench list that is empty or names a benchmark twice.
     for (auto [flag, value] :
          {std::pair<const char *, const char *>{"--scale", "abc"},
-          {"--scale", "0"}, {"--jobs", "x"}, {"--sample-period", "1e3"},
+          {"--scale", "0"}, {"--jobs", "x"}, {"--jobs", "100000"},
+          {"--sample-period", "1e3"},
           {"--json", "x"}, {"--trace-out", "x"}, {"-q", "x"},
           {"--scale", nullptr}, {"--bench", ""}, {"--bench", "stream,"},
           {"--bench", "stream,stream,scalar"}}) {

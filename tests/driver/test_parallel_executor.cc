@@ -35,8 +35,8 @@ TEST(ParallelExecutor, RunsEveryTaskExactlyOnce)
 
 TEST(ParallelExecutor, SingleWorkerPreservesSubmissionOrder)
 {
-    // One worker and external submission: the deques degrade to a
-    // single FIFO, i.e. exactly the sequential order --jobs 1 promises.
+    // One worker takes the single FIFO queue in order: exactly the
+    // sequential order --jobs 1 promises.
     ParallelExecutor exec(1);
     std::vector<int> order;
     std::mutex m;
@@ -65,8 +65,8 @@ TEST(ParallelExecutor, PropagatesExceptionsThroughFutures)
 
 TEST(ParallelExecutor, WorkerSubmissionsComplete)
 {
-    // Recursive fan-out: tasks submitted from worker threads land on
-    // the worker's own deque and still complete.
+    // Recursive fan-out: tasks submitted from worker threads join the
+    // same queue and still complete.
     ParallelExecutor exec(4);
     std::atomic<int> done{0};
     std::vector<std::future<std::future<void>>> outer;

@@ -84,7 +84,6 @@ TEST(RunCache, SameNameDifferentBodyDoesNotCollide)
     const RunResult &rb = cache.submit(cfg, b).get();
     EXPECT_NE(&ra, &rb);
     EXPECT_EQ(cache.misses(), 2u);
-    EXPECT_EQ(cache.size(), 2u);
     // Different strides really do simulate differently.
     EXPECT_NE(ra.cycles, rb.cycles);
 }
@@ -104,7 +103,6 @@ TEST(RunCache, MemoizesIdenticalSubmissions)
     EXPECT_EQ(&a, &b);
     EXPECT_EQ(cache.misses(), 2u);
     EXPECT_EQ(cache.hits(), 3u);
-    EXPECT_EQ(cache.size(), 2u);
 
     // Entries are listed in creation order; a repeat adds none. The
     // campaign manifest's per-figure fingerprints depend on this.
@@ -148,7 +146,6 @@ TEST(RunCache, ConcurrentDuplicateSubmissionsRunOnce)
         th.join();
 
     EXPECT_EQ(cache.misses(), kernels.size());
-    EXPECT_EQ(cache.size(), kernels.size());
     // Every thread resolved every key to the same cached object.
     for (unsigned t = 1; t < numThreads; ++t)
         EXPECT_EQ(seen[t], seen[0]);

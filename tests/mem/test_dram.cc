@@ -247,14 +247,14 @@ class ScanChannel
     void
     tick(Cycle now, std::vector<MemRequest> &completed)
     {
-        for (std::size_t i = 0; i < inService_.size();) {
-            if (inService_[i].doneAt <= now) {
+        // Every finished transfer retires, oldest first.
+        for (auto it = inService_.begin(); it != inService_.end();) {
+            if (it->doneAt <= now) {
                 ++stateVersion_;
-                completed.push_back(std::move(inService_[i].req));
-                inService_[i] = std::move(inService_.back());
-                inService_.pop_back();
+                completed.push_back(std::move(it->req));
+                it = inService_.erase(it);
             } else {
-                ++i;
+                ++it;
             }
         }
         while (!serviceDoneAts_.empty() && serviceDoneAts_.front() <= now)
@@ -387,8 +387,9 @@ expectSameCounters(const DramChannel::Counters &a,
  * Drive a DramChannel and a ScanChannel with the same seeded random
  * stream — loads, stores, both prefetch kinds, 32 B and 64 B, a block
  * pool small enough to merge often and spread over several rows per
- * bank, upgrades of buffered prefetches, and occasional jumps to the
- * event horizon — and require identical behaviour at every tick.
+ * bank, upgrades of buffered prefetches, and occasional jumps to or
+ * past the event horizon — and require identical behaviour at every
+ * tick, including the order of the transfers one late tick retires.
  */
 void
 runDifferential(unsigned banks, unsigned entries, bool demand_priority,
@@ -418,6 +419,7 @@ runDifferential(unsigned banks, unsigned entries, bool demand_priority,
                              ReqType::SwPrefetch, ReqType::HwPrefetch};
 
     std::vector<MemRequest> done_fast, done_ref;
+    unsigned multi_retire_ticks = 0;
     Cycle now = 0;
     // Arrivals stop after 3000 steps; then both channels drain.
     for (unsigned step = 0; step < 3000 || !ref.drained(); ++step) {
@@ -446,6 +448,8 @@ runDifferential(unsigned banks, unsigned entries, bool demand_priority,
         fast.tick(now, done_fast);
         ref.tick(now, done_ref);
         ASSERT_EQ(done_fast.size(), done_ref.size()) << "cycle " << now;
+        if (done_fast.size() >= 2)
+            ++multi_retire_ticks;
         for (std::size_t i = 0; i < done_fast.size(); ++i) {
             EXPECT_EQ(done_fast[i].addr, done_ref[i].addr);
             EXPECT_EQ(done_fast[i].type, done_ref[i].type);
@@ -459,16 +463,19 @@ runDifferential(unsigned banks, unsigned entries, bool demand_priority,
         ASSERT_EQ(fast.drained(), ref.drained());
         expectSameCounters(fast.counters(), ref.counters());
 
-        // Mostly consecutive cycles; sometimes a jump to the horizon,
-        // which retires several transfers in one tick.
+        // Mostly consecutive cycles; sometimes a jump to the horizon
+        // or up to 63 cycles past it. The horizon is the earliest
+        // bound, so only a jump past it lets one tick retire several
+        // transfers.
         Cycle next = now + 1;
         if (rng.chance(0.1)) {
             Cycle horizon = fast.nextEventAt(next);
             if (horizon != invalidCycle)
-                next = std::max(next, horizon);
+                next = std::max(next, horizon + rng.below(64));
         }
         now = next;
     }
+    EXPECT_GT(multi_retire_ticks, 0u);
     if (entries > 1) {
         EXPECT_GT(fast.counters().rowHits, 0u);
         EXPECT_GT(fast.counters().interCoreMerges, 0u);

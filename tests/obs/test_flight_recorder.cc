@@ -8,7 +8,9 @@
  *    progress beats for a full deadline window) and leaves a parseable
  *    JSONL artifact;
  *  - it never false-fires while the engine keeps beating, even over
- *    several deadline windows of wall-clock.
+ *    several deadline windows of wall-clock;
+ *  - the naive oracle loop beats like the queued loop, so a healthy
+ *    fastForward=0 run never looks hung.
  *
  * Timing margins are generous on purpose: the watchdog tests run
  * under TSan in the host-obs CI job, where every sleep and wake is
@@ -28,6 +30,7 @@
 #include "driver/parallel_executor.hh"
 #include "obs/flight_recorder.hh"
 #include "obs/json.hh"
+#include "tests/test_helpers.hh"
 
 namespace mtp {
 namespace {
@@ -40,6 +43,18 @@ TEST(FlightRecorder, BeatsAreMonotonic)
     FlightRecorder::beat();
     FlightRecorder::beat();
     EXPECT_EQ(FlightRecorder::beats(), b0 + 2);
+}
+
+TEST(FlightRecorder, NaiveRunBeatsEvery128Cycles)
+{
+    // The oracle steps every cycle and beats at each multiple of 128,
+    // as the queued loop does at the ones it steps.
+    SimConfig cfg = test::tinyConfig();
+    cfg.fastForward = false;
+    std::uint64_t b0 = FlightRecorder::beats();
+    RunResult r = simulate(cfg, test::tinyStreamKernel());
+    ASSERT_GT(r.cycles, 128u);
+    EXPECT_EQ(FlightRecorder::beats() - b0, (r.cycles + 127) / 128);
 }
 
 TEST(FlightRecorder, GaugeLifecycleAndJsonlDump)

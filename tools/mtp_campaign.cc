@@ -3,9 +3,9 @@
  * mtp-campaign: reproduce the paper's whole evaluation in one command.
  *
  * Runs every registered figure/table harness (bench/harnesses.hh)
- * through one shared Runner — one work-stealing executor, one
- * RunCache, so a baseline shared by five figures simulates once — and
- * writes the consolidated BENCH_campaign.json manifest: provenance
+ * through one shared Runner — one executor queue, one RunCache, so a
+ * baseline shared by five figures simulates once — and writes the
+ * consolidated BENCH_campaign.json manifest: provenance
  * (git sha, host, scale, overrides), per-figure tables and summary
  * metrics, normalized run fingerprints, and a volatile "session"
  * block with wall-clock and cache statistics.
@@ -34,6 +34,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -156,7 +157,15 @@ runVolatile(const std::string &benchDir, const std::string &binary,
         cmd += " --scale " + std::to_string(opts.scaleDiv);
 
     auto t0 = std::chrono::steady_clock::now();
-    int rc = std::system(cmd.c_str());
+    // The child's beats are its own; beat while waiting so a watchdog
+    // armed for the figures does not take a live harness for a hang.
+    std::future<int> child = std::async(std::launch::async, [&cmd] {
+        return std::system(cmd.c_str());
+    });
+    while (child.wait_for(std::chrono::milliseconds(100)) !=
+           std::future_status::ready)
+        obs::FlightRecorder::beat();
+    int rc = child.get();
     double wall = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - t0)
                       .count();
@@ -243,8 +252,9 @@ main(int argc, char **argv)
     if (benchDir.empty())
         benchDir = dirnameOf(argv[0]) + "/../bench";
 
-    // The watchdog's heartbeat comes from executor tasks and every
-    // simulation's sampler boundaries (CampaignProgress).
+    // The watchdog's heartbeat comes from executor tasks, every
+    // simulation's sampler boundaries (CampaignProgress) and the wait
+    // on each wall-clock harness (runVolatile).
     host.start();
 
     CampaignProgress progress;

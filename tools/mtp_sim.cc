@@ -157,11 +157,10 @@ main(int argc, char **argv)
 
     // Submit the whole matrix up front, then print in submission
     // order; with any --jobs value the output is byte-identical.
-    driver::ParallelExecutor exec(opts.jobs);
-    driver::RunCache cache(exec);
+    bench::Runner runner(opts);
     std::vector<std::shared_future<RunResult>> runs;
     for (std::size_t i = 0; i < kernels.size(); ++i)
-        runs.push_back(cache.submit(cfg, kernels[i], obsFor(i)));
+        runs.push_back(runner.submit(cfg, kernels[i], obsFor(i)));
 
     bool first = true;
     for (std::size_t i = 0; i < kernels.size(); ++i) {
@@ -206,7 +205,7 @@ main(int argc, char **argv)
             // bit-identity comparisons never see them).
             StatSet full = r.stats;
             full.merge(r.sched, "");
-            full.merge(bench::hostCounters(cache, exec), "");
+            full.merge(runner.hostCounters(), "");
             if (statsFile.ends_with(".json"))
                 full.dumpJson(out);
             else if (statsFile.ends_with(".csv"))
@@ -229,8 +228,7 @@ main(int argc, char **argv)
         }
     }
 
-    const std::string &profile =
-        host.finish(bench::hostCounters(cache, exec));
+    const std::string &profile = host.finish(runner.hostCounters());
     if (!profile.empty() && !opts.quiet)
         std::printf("host        %s (mtp-report host renders it)\n",
                     profile.c_str());
