@@ -22,18 +22,22 @@ parseArgs(int argc, char **argv, const std::vector<cli::Flag> &extra,
             cmd.flags.push_back(std::move(f));
     cmd.flags.insert(cmd.flags.end(), {
         {"--scale", "N", "grid divisor (default 8); scales the throttle period",
-         [&](const cli::Arg &a) { opts.setScale(a.number(1u)); }},
+         [&](const cli::Arg &a) {
+             // Past the largest grid (16384 blocks) nothing changes.
+             opts.setScale(a.number(1u, 16384u));
+         }},
         {"--bench", "LIST", "benchmarks to run (comma list)",
          [&](const cli::Arg &a) { opts.benchmarks = a.list(); }},
         {"--jobs", "N", "parallel simulations (default: all cores; max 1024)",
          [&](const cli::Arg &a) {
              // Capped like numCores: refused before any thread starts.
-             opts.jobs = a.number(1u);
-             if (opts.jobs > 1024)
-                 a.fail("--jobs must be <= 1024");
+             opts.jobs = a.number(1u, 1024u);
          }},
         {"--sample-period", "N", "sample time-series probes every N cycles",
-         [&](const cli::Arg &a) { opts.samplePeriod = a.number<Cycle>(); }},
+         [&](const cli::Arg &a) {
+             // A period past the default cycle cap would never sample.
+             opts.samplePeriod = a.number<Cycle>(0, SimConfig{}.maxCycles);
+         }},
         {"--quiet", "", "print no report to stdout",
          [&](const cli::Arg &) { opts.quiet = true; }},
     });
@@ -54,8 +58,9 @@ HostObs::flags()
          [this](const cli::Arg &a) { profilePath_ = a.value; }},
         {"--watchdog-sec", "N", "dump diagnostics after N s without progress",
          [this](const cli::Arg &a) {
-             watchdogSec_ = a.number<double>();
-             if (!(watchdogSec_ > 0.0))
+             // A day without a beat is a hang by any measure.
+             watchdogSec_ = a.number(0.0, 86400.0);
+             if (watchdogSec_ == 0.0)
                  a.fail("--watchdog-sec must be > 0");
          }},
     };

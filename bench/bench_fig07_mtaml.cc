@@ -44,7 +44,7 @@ run(Runner &runner, const Options &opts)
         k.finalize();
         auto base = runner.submit(cfg, k);
         auto pref = runner.submit(
-            cfg, applySwPrefetch(k, SwPrefKind::Stride, w.info.swpOpts));
+            cfg, applySwPrefetch(k, SwPrefKind::Stride));
         points.push_back({warps, std::move(k), base, pref});
     }
 

@@ -68,7 +68,7 @@ main(int argc, char **argv)
         {{"--out", "FILE", "result file (default BENCH_obs_overhead.json)",
           [&](const cli::Arg &a) { out = a.value; }},
          {"--reps", "N", "timed runs per variant, min taken (default 5)",
-          [&](const cli::Arg &a) { reps = a.number(1u); }},
+          [&](const cli::Arg &a) { reps = a.number(1u, 1000u); }},
          {"--smoke", "", "scale 64 and 3 reps",
           [&](const cli::Arg &) { smoke = true; }}});
     if (smoke) {

@@ -30,6 +30,7 @@ main(int argc, char **argv)
     k.warpsPerBlock = 8;
     k.numBlocks = 256;
     k.maxBlocksPerCore = 2;
+    k.swpOpts.ipDistanceWarps = 4; // IP: half a block of warps ahead
 
     Segment body;
     body.insts.push_back(StaticInst::comp(2)); // tid arithmetic
@@ -80,9 +81,7 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(base.cycles), base.cpi,
                 base.avgDemandLatency);
 
-    SwPrefetchOptions opts;
-    opts.ipDistanceWarps = 4; // prefetch half a block of warps ahead
-    KernelDesc with_ip = applyInterThreadPrefetch(k, opts);
+    KernelDesc with_ip = applyInterThreadPrefetch(k);
     RunResult sw = simulate(cfg, with_ip);
     std::printf("SW IP    : %8llu cycles  speedup %.3f  coverage "
                 "%.0f%%\n",

@@ -30,14 +30,6 @@ printHelp(const std::string &prog, const std::vector<Command> &commands)
 
 } // namespace
 
-void
-fail(const std::string &msg, int status)
-{
-    std::string line = "fatal: " + msg + "\n";
-    std::fwrite(line.data(), 1, line.size(), stderr);
-    std::exit(status);
-}
-
 std::vector<std::string>
 Arg::list() const
 {

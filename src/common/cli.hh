@@ -9,6 +9,7 @@
 #ifndef MTP_COMMON_CLI_HH
 #define MTP_COMMON_CLI_HH
 
+#include <cmath>
 #include <cstddef>
 #include <functional>
 #include <limits>
@@ -22,7 +23,11 @@ namespace mtp {
 namespace cli {
 
 /** Print "fatal: @p msg" as one stderr line and exit @p status. */
-[[noreturn]] void fail(const std::string &msg, int status = 1);
+[[noreturn]] inline void
+fail(const std::string &msg, int status = 1)
+{
+    detail::fatalImpl(msg, status);
+}
 
 /** One argument as a handler sees it: a flag's value, or an operand. */
 struct Arg
@@ -36,14 +41,22 @@ struct Arg
         cli::fail(msg, status);
     }
 
-    /** The value under parseNumber()'s rules, at least @p min. */
+    /** The value under parseNumber()'s rules: finite, in [@p min, @p max]. */
     template <typename T>
     T
-    number(T min = std::numeric_limits<T>::lowest()) const
+    number(T min = std::numeric_limits<T>::lowest(),
+           T max = std::numeric_limits<T>::max()) const
     {
         T v = parseNumber<T>(flag, value, status);
+        if constexpr (std::is_floating_point_v<T>) {
+            if (!std::isfinite(v))
+                fail(detail::concat(flag, " must be a finite number, got '",
+                                    value, "'"));
+        }
         if (v < min)
             fail(detail::concat(flag, " must be >= ", min));
+        if (v > max)
+            fail(detail::concat(flag, " must be <= ", max));
         return v;
     }
 

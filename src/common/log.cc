@@ -51,11 +51,10 @@ panicImpl(const char *file, int line, const std::string &msg)
 }
 
 void
-fatalImpl(const char *file, int line, const std::string &msg)
+fatalImpl(const std::string &msg, int status)
 {
-    writeLine("fatal: ",
-              msg + "\n  @ " + file + ":" + std::to_string(line));
-    std::exit(1);
+    writeLine("fatal: ", msg);
+    std::exit(status);
 }
 
 void

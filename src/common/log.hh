@@ -2,6 +2,8 @@
  * @file
  * Status/error reporting in the gem5 style: panic() for simulator bugs,
  * fatal() for user errors, warn()/inform() for non-fatal conditions.
+ * A panic names the source location of the failed check; a fatal error
+ * is one line that names the problem in the user's terms.
  */
 
 #ifndef MTP_COMMON_LOG_HH
@@ -25,8 +27,8 @@ namespace detail {
 
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &msg);
-[[noreturn]] void fatalImpl(const char *file, int line,
-                            const std::string &msg);
+/** Print "fatal: @p msg" as one stderr line and exit @p status. */
+[[noreturn]] void fatalImpl(const std::string &msg, int status = 1);
 void warnImpl(const std::string &msg);
 void informImpl(const std::string &msg);
 void debugImpl(const std::string &msg);
@@ -53,11 +55,10 @@ concat(Args &&...args)
 
 /**
  * Terminate the simulation due to a user error (bad configuration,
- * invalid arguments) — not a simulator bug.
+ * invalid arguments) — not a simulator bug. Exits 1 after one line.
  */
 #define MTP_FATAL(...) \
-    ::mtp::detail::fatalImpl(__FILE__, __LINE__, \
-                             ::mtp::detail::concat(__VA_ARGS__))
+    ::mtp::detail::fatalImpl(::mtp::detail::concat(__VA_ARGS__))
 
 /** Alert the user to suspicious but non-fatal behaviour. */
 #define MTP_WARN(...) \

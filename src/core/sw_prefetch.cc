@@ -16,7 +16,7 @@ targetLoad(const StaticInst &inst)
 } // namespace
 
 KernelDesc
-applyStridePrefetch(const KernelDesc &kernel, const SwPrefetchOptions &opts)
+applyStridePrefetch(const KernelDesc &kernel)
 {
     KernelDesc out = kernel;
     out.name = kernel.name + "+swp_stride";
@@ -29,7 +29,7 @@ applyStridePrefetch(const KernelDesc &kernel, const SwPrefetchOptions &opts)
             if (targetLoad(inst) && inst.pattern.iterStride != 0) {
                 body.push_back(StaticInst::prefetch(
                     inst.pattern.shiftedByIters(
-                        static_cast<int>(opts.strideDistance))));
+                        static_cast<int>(kernel.swpOpts.strideDistance))));
             }
             body.push_back(inst);
         }
@@ -40,9 +40,7 @@ applyStridePrefetch(const KernelDesc &kernel, const SwPrefetchOptions &opts)
 }
 
 KernelDesc
-applyInterThreadPrefetch(const KernelDesc &kernel,
-                         const SwPrefetchOptions &opts,
-                         bool skipStrideCovered)
+applyInterThreadPrefetch(const KernelDesc &kernel, bool skipStrideCovered)
 {
     KernelDesc out = kernel;
     out.name = kernel.name + "+swp_ip";
@@ -58,7 +56,7 @@ applyInterThreadPrefetch(const KernelDesc &kernel,
             if (targetLoad(inst) && !covered) {
                 body.push_back(StaticInst::prefetch(
                     inst.pattern.shiftedByWarps(
-                        static_cast<int>(opts.ipDistanceWarps))));
+                        static_cast<int>(kernel.swpOpts.ipDistanceWarps))));
             }
             body.push_back(inst);
         }
@@ -69,8 +67,7 @@ applyInterThreadPrefetch(const KernelDesc &kernel,
 }
 
 KernelDesc
-applyRegisterPrefetch(const KernelDesc &kernel,
-                      const SwPrefetchOptions &opts)
+applyRegisterPrefetch(const KernelDesc &kernel)
 {
     KernelDesc out = kernel;
     out.name = kernel.name + "+swp_reg";
@@ -88,8 +85,8 @@ applyRegisterPrefetch(const KernelDesc &kernel,
         if (marked > 0)
             seg.insts.insert(seg.insts.begin(), StaticInst::comp(marked));
     }
-    if (opts.registerBlocksLost > 0) {
-        unsigned lost = opts.registerBlocksLost;
+    if (kernel.swpOpts.registerBlocksLost > 0) {
+        unsigned lost = kernel.swpOpts.registerBlocksLost;
         out.maxBlocksPerCore = out.maxBlocksPerCore > lost
                                    ? out.maxBlocksPerCore - lost
                                    : 1;
@@ -99,8 +96,7 @@ applyRegisterPrefetch(const KernelDesc &kernel,
 }
 
 KernelDesc
-applySwPrefetch(const KernelDesc &kernel, SwPrefKind kind,
-                const SwPrefetchOptions &opts)
+applySwPrefetch(const KernelDesc &kernel, SwPrefKind kind)
 {
     switch (kind) {
       case SwPrefKind::None: {
@@ -109,16 +105,16 @@ applySwPrefetch(const KernelDesc &kernel, SwPrefKind kind,
         return out;
       }
       case SwPrefKind::Register:
-        return applyRegisterPrefetch(kernel, opts);
+        return applyRegisterPrefetch(kernel);
       case SwPrefKind::Stride:
-        return applyStridePrefetch(kernel, opts);
+        return applyStridePrefetch(kernel);
       case SwPrefKind::IP:
-        return applyInterThreadPrefetch(kernel, opts);
+        return applyInterThreadPrefetch(kernel);
       case SwPrefKind::StrideIP:
         // MT-SWP: stride prefetching covers loop loads; inter-thread
         // prefetching covers the rest.
-        return applyInterThreadPrefetch(applyStridePrefetch(kernel, opts),
-                                        opts, /*skipStrideCovered=*/true);
+        return applyInterThreadPrefetch(applyStridePrefetch(kernel),
+                                        /*skipStrideCovered=*/true);
     }
     MTP_PANIC("bad SwPrefKind ", static_cast<int>(kind));
 }

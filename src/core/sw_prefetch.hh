@@ -13,6 +13,9 @@
  *    ahead into registers, at the cost of extra instructions and
  *    register pressure (reduced thread-block occupancy);
  *  - MT-SWP: stride + IP combined.
+ *
+ * Each transform reads its distances from the kernel's own
+ * SwPrefetchOptions (KernelDesc::swpOpts).
  */
 
 #ifndef MTP_CORE_SW_PREFETCH_HH
@@ -23,33 +26,12 @@
 
 namespace mtp {
 
-/** Per-workload software-prefetch tuning knobs. */
-struct SwPrefetchOptions
-{
-    /** Stride-prefetch distance in loop iterations. */
-    unsigned strideDistance = 1;
-    /**
-     * Inter-thread prefetch distance in warps. Programmers prefetch
-     * for `tid + k`; the profitable k is about one thread block
-     * (`tid + blockDim`), since that is the work that runs next on the
-     * same core rather than a co-resident warp whose demand has
-     * already issued.
-     */
-    unsigned ipDistanceWarps = 1;
-    /**
-     * Thread blocks per core lost to the extra register pressure of
-     * register prefetching (0: occupancy unaffected).
-     */
-    unsigned registerBlocksLost = 0;
-};
-
 /**
  * Insert stride prefetches into every loop of @p kernel (loads with a
  * non-zero iteration stride only; short straight-line kernels have no
  * insertion points, Fig. 3). @return the transformed, finalized kernel.
  */
-KernelDesc applyStridePrefetch(const KernelDesc &kernel,
-                               const SwPrefetchOptions &opts);
+KernelDesc applyStridePrefetch(const KernelDesc &kernel);
 
 /**
  * Insert inter-thread prefetches for prefetchable loads.
@@ -59,7 +41,6 @@ KernelDesc applyStridePrefetch(const KernelDesc &kernel,
  * @return the transformed, finalized kernel.
  */
 KernelDesc applyInterThreadPrefetch(const KernelDesc &kernel,
-                                    const SwPrefetchOptions &opts,
                                     bool skipStrideCovered = false);
 
 /**
@@ -69,12 +50,10 @@ KernelDesc applyInterThreadPrefetch(const KernelDesc &kernel,
  * `registerBlocksLost` blocks per core.
  * @return the transformed, finalized kernel.
  */
-KernelDesc applyRegisterPrefetch(const KernelDesc &kernel,
-                                 const SwPrefetchOptions &opts);
+KernelDesc applyRegisterPrefetch(const KernelDesc &kernel);
 
 /** Dispatch on @p kind (StrideIP composes stride then IP). */
-KernelDesc applySwPrefetch(const KernelDesc &kernel, SwPrefKind kind,
-                           const SwPrefetchOptions &opts);
+KernelDesc applySwPrefetch(const KernelDesc &kernel, SwPrefKind kind);
 
 } // namespace mtp
 

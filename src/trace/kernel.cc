@@ -20,6 +20,16 @@ KernelDesc::finalize()
         MTP_FATAL("kernel '", name, "' allows ", maxBlocksPerCore,
                   " blocks per core; the range is [1, ",
                   maxBlocksPerCoreLimit, "]");
+    // The ranges of the matching hardware keys (prefDistance,
+    // ipDistanceWarps) and of the occupancy a core can lose.
+    const SwPrefetchOptions &swp = swpOpts;
+    if (swp.strideDistance < 1 || swp.strideDistance > 256 ||
+        swp.ipDistanceWarps > 1024 ||
+        swp.registerBlocksLost > maxBlocksPerCoreLimit)
+        MTP_FATAL("kernel '", name, "' has swp ", swp.strideDistance, ' ',
+                  swp.ipDistanceWarps, ' ', swp.registerBlocksLost,
+                  "; the ranges are [1, 256] [0, 1024] [0, ",
+                  maxBlocksPerCoreLimit, "]");
 
     Pc next_pc = 4; // leave 0 free as a sentinel
     for (auto &seg : segments) {
@@ -40,6 +50,11 @@ KernelDesc::finalize()
                           "' marks a non-load as regPrefetch");
             if (isMemOp(inst.op) && inst.pattern.elemBytes == 0)
                 MTP_FATAL("kernel '", name, "' memory op with elemBytes=0");
+            // A scatter draws element slots from the span: it needs one.
+            if (isMemOp(inst.op) && inst.pattern.scatters() &&
+                inst.pattern.scatterSpan < inst.pattern.elemBytes)
+                MTP_FATAL("kernel '", name,
+                          "' has a scatter span smaller than an element");
             inst.pc = next_pc;
             next_pc += 4;
         }

@@ -36,6 +36,30 @@ struct Segment
 /** Most warps in one thread block: CUDA's 1024-thread block. */
 inline constexpr unsigned maxWarpsPerBlock = 32;
 
+/**
+ * Software-prefetch tuning of one kernel: what the transforms of
+ * core/sw_prefetch.hh read. The simulator itself never does, so two
+ * kernels that differ only here simulate identically.
+ */
+struct SwPrefetchOptions
+{
+    /** Stride-prefetch distance in loop iterations. */
+    unsigned strideDistance = 1;
+    /**
+     * Inter-thread prefetch distance in warps. Programmers prefetch
+     * for `tid + k`; the profitable k is about one thread block
+     * (`tid + blockDim`), since that is the work that runs next on the
+     * same core rather than a co-resident warp whose demand has
+     * already issued.
+     */
+    unsigned ipDistanceWarps = 1;
+    /**
+     * Thread blocks per core lost to the extra register pressure of
+     * register prefetching (0: occupancy unaffected).
+     */
+    unsigned registerBlocksLost = 0;
+};
+
 /** A complete kernel launch description. */
 class KernelDesc
 {
@@ -45,6 +69,7 @@ class KernelDesc
     std::uint64_t numBlocks = 1; //!< thread blocks in the grid
     unsigned maxBlocksPerCore = 1; //!< occupancy limit (Table III)
     std::vector<Segment> segments; //!< program body
+    SwPrefetchOptions swpOpts;     //!< SW-prefetch tuning (not simulated)
 
     /**
      * Assign unique PCs to every static instruction and validate the

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/config.hh"
+#include "common/json_writer.hh"
 #include "common/log.hh"
 
 namespace mtp {
@@ -18,9 +19,13 @@ writePattern(std::ostream &os, const AddressPattern &p)
 {
     os << " 0x" << std::hex << p.base << std::dec << ' '
        << p.threadStride << ' ' << p.iterStride << ' ' << p.elemBytes;
-    if (p.scatterFrac > 0.0)
-        os << ' ' << p.scatterFrac << ' ' << p.scatterSpan << ' '
-           << p.scatterSalt;
+    if (p.scatterFrac > 0.0) {
+        // Shortest round-trip spelling: reading it back gives the
+        // same double.
+        std::string frac;
+        json::appendNumber(frac, p.scatterFrac);
+        os << ' ' << frac << ' ' << p.scatterSpan << ' ' << p.scatterSalt;
+    }
 }
 
 /**
@@ -82,10 +87,12 @@ tokenize(const std::string &line)
 void
 writeKernel(std::ostream &os, const KernelDesc &kernel)
 {
-    os << "# mtprefetch kernel description\n";
     os << "kernel " << kernel.name << '\n';
     os << "grid " << kernel.warpsPerBlock << ' ' << kernel.numBlocks
        << ' ' << kernel.maxBlocksPerCore << '\n';
+    const SwPrefetchOptions &swp = kernel.swpOpts;
+    os << "swp " << swp.strideDistance << ' ' << swp.ipDistanceWarps << ' '
+       << swp.registerBlocksLost << '\n';
     for (const auto &seg : kernel.segments) {
         os << "segment " << seg.trips << '\n';
         for (const auto &inst : seg.insts) {
@@ -164,6 +171,13 @@ readKernel(std::istream &is, const std::string &source)
             k.numBlocks = parseNumber<std::uint64_t>(ctx, toks[2]);
             k.maxBlocksPerCore = parseNumber<unsigned>(ctx, toks[3]);
             saw_grid = true;
+        } else if (cmd == "swp") {
+            if (toks.size() != 4)
+                MTP_FATAL(ctx, ": 'swp' needs 3 fields");
+            k.swpOpts.strideDistance = parseNumber<unsigned>(ctx, toks[1]);
+            k.swpOpts.ipDistanceWarps = parseNumber<unsigned>(ctx, toks[2]);
+            k.swpOpts.registerBlocksLost =
+                parseNumber<unsigned>(ctx, toks[3]);
         } else if (cmd == "segment") {
             if (toks.size() != 2)
                 MTP_FATAL(ctx, ": 'segment' needs a trip count");

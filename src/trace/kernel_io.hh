@@ -3,12 +3,15 @@
  * Textual serialization of kernel descriptors. Lets users define
  * workloads in a small line-oriented format (and the simulator dump
  * its synthetic kernels) without recompiling — the moral equivalent of
- * feeding the paper's simulator a new trace file.
+ * feeding the paper's simulator a new trace file. The built-in suite
+ * is written in it too: workloads/suite.cc holds the 26 benchmarks as
+ * texts in this format.
  *
  * Format (one directive per line; '#' starts a comment):
  *
  *   kernel  <name>
  *   grid    <warpsPerBlock> <numBlocks> <maxBlocksPerCore>
+ *   swp     <strideDistance> <ipDistanceWarps> <registerBlocksLost>
  *   segment <trips>
  *     comp   <repeat> [src_a src_b]
  *     imul   [src_a src_b]
@@ -22,6 +25,10 @@
  *   end
  *
  * `segment`/`end` pairs repeat; addresses accept 0x-prefixed hex.
+ * `swp` is the SW-prefetch tuning (SwPrefetchOptions) the transforms
+ * read, in the ranges [1, 256], [0, 1024] and [0, 32]; without it the
+ * defaults apply (1 1 0). Doubles are written shortest round-trip, so
+ * a written kernel reads back identical.
  */
 
 #ifndef MTP_TRACE_KERNEL_IO_HH

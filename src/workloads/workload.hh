@@ -4,8 +4,10 @@
  * (Tables III and IV) is reproduced as a synthetic kernel whose launch
  * geometry (warps, blocks, occupancy) comes straight from Table III and
  * whose instruction mix and address patterns are tuned so the baseline
- * and perfect-memory CPIs land in the regime the paper reports.
- * See DESIGN.md for the substitution rationale.
+ * and perfect-memory CPIs land in the regime the paper reports. The
+ * kernels are texts in the kernel-file grammar (trace/kernel_io.hh),
+ * one table row each in suite.cc. See DESIGN.md for the substitution
+ * rationale.
  */
 
 #ifndef MTP_WORKLOADS_WORKLOAD_HH
@@ -48,9 +50,6 @@ struct WorkloadInfo
     std::uint64_t paperBlocks = 0;
     unsigned paperDelinquentStride = 0; //!< stride-delinquent loads
     unsigned paperDelinquentIp = 0;     //!< IP-delinquent loads
-
-    /** Per-benchmark software-prefetch tuning. */
-    SwPrefetchOptions swpOpts;
 };
 
 /** A benchmark: metadata plus its baseline kernel. */
@@ -63,7 +62,7 @@ struct Workload
     KernelDesc
     variant(SwPrefKind kind) const
     {
-        return applySwPrefetch(kernel, kind, info.swpOpts);
+        return applySwPrefetch(kernel, kind);
     }
 };
 
@@ -81,7 +80,7 @@ class Suite
     static std::vector<std::string> namesOfType(WorkloadType type);
 
     /**
-     * Build a benchmark.
+     * A benchmark: a copy of its parsed row.
      * @param name a name from the lists above
      * @param scaleDiv divide the grid's block count by this factor to
      *        shorten simulations (occupancy and per-warp behaviour are

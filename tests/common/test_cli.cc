@@ -30,7 +30,7 @@ class Argv
 };
 
 /** Two commands: "run" with three rows and key=value operands, and
- *  "diff", which takes exactly two files. */
+ *  "diff", which takes exactly two files and a finite tolerance >= 0. */
 struct Program
 {
     bool verbose = false;
@@ -46,14 +46,16 @@ struct Program
             {"run", "[key=value ...]", "run something",
              {{"--verbose", "", "say more",
                [this](const Arg &) { verbose = true; }},
-              {"--n", "N", "a count, at least 1",
-               [this](const Arg &a) { n = a.number(1u); }},
+              {"--n", "N", "a count, 1 to 1024",
+               [this](const Arg &a) { n = a.number(1u, 1024u); }},
               {"--out", "FILE", "output file",
                [this](const Arg &a) { out = a.value; }}},
              take},
             {"diff", "<A> <B>", "compare two files",
              {{"--gate", "PCT", "allowed growth",
-               [](const Arg &a) { a.number<double>(); }}},
+               [](const Arg &a) { a.number<double>(); }},
+              {"--tol", "PCT", "tolerance",
+               [](const Arg &a) { a.number(0.0); }}},
              take, 2, 2},
         };
     }
@@ -89,6 +91,14 @@ TEST(Cli, UsageErrorsExitWithOneLineNamingTheProblem)
              {{"run", "--out", "--verbose"}, "--out needs a value FILE"},
              {{"run", "--n", "abc"}, "bad unsigned value 'abc' for '--n'"},
              {{"run", "--n", "0"}, "--n must be >= 1"},
+             {{"run", "--n", "1025"}, "^fatal: --n must be <= 1024\n$"},
+             {{"diff", "a", "--tol", "-5", "b"}, "--tol must be >= 0\n$"},
+             {{"diff", "a", "--tol", "nan", "b"},
+              "^fatal: --tol must be a finite number, got 'nan'\n$"},
+             {{"diff", "a", "--tol", "inf", "b"}, "finite number, got 'inf'"},
+             {{"diff", "a", "--tol", "-inf", "b"}, "finite number, got '-inf'"},
+             {{"diff", "a", "--tol", "1e400", "b"},
+              "value '1e400' out of range for '--tol'"},
              {{"diff", "a", "--gate", "x", "b"}, "value 'x' for '--gate'"},
              {{"diff", "a"}, "diff takes <A> <B>, got 1\n$"},
              {{"diff", "a", "b", "c"}, "diff takes <A> <B>, got 3"},

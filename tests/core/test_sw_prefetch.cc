@@ -19,9 +19,8 @@ countOps(const KernelDesc &k, Opcode op)
 TEST(SwPrefetch, StrideInsertsOnePrefetchPerLoopLoad)
 {
     KernelDesc k = test::tinyStreamKernel(2, 4, 4, /*loads=*/2);
-    SwPrefetchOptions opts;
-    opts.strideDistance = 1;
-    KernelDesc out = applyStridePrefetch(k, opts);
+    k.swpOpts.strideDistance = 1;
+    KernelDesc out = applyStridePrefetch(k);
     EXPECT_EQ(countOps(out, Opcode::Prefetch), 2u);
     EXPECT_EQ(countOps(out, Opcode::Load), 2u);
     EXPECT_TRUE(out.finalized());
@@ -44,8 +43,7 @@ TEST(SwPrefetch, StrideInsertsOnePrefetchPerLoopLoad)
 TEST(SwPrefetch, StrideSkipsStraightLineCode)
 {
     KernelDesc k = test::tinyMpKernel();
-    SwPrefetchOptions opts;
-    KernelDesc out = applyStridePrefetch(k, opts);
+    KernelDesc out = applyStridePrefetch(k);
     // No loops, so no insertion points (Fig. 3).
     EXPECT_EQ(countOps(out, Opcode::Prefetch), 0u);
 }
@@ -53,9 +51,8 @@ TEST(SwPrefetch, StrideSkipsStraightLineCode)
 TEST(SwPrefetch, IpTargetsWarpsAhead)
 {
     KernelDesc k = test::tinyMpKernel();
-    SwPrefetchOptions opts;
-    opts.ipDistanceWarps = 2;
-    KernelDesc out = applyInterThreadPrefetch(k, opts);
+    k.swpOpts.ipDistanceWarps = 2;
+    KernelDesc out = applyInterThreadPrefetch(k);
     ASSERT_EQ(countOps(out, Opcode::Prefetch), 1u);
     const StaticInst *pref = nullptr;
     const StaticInst *load = nullptr;
@@ -74,7 +71,7 @@ TEST(SwPrefetch, IpTargetsWarpsAhead)
 TEST(SwPrefetch, IpPrecedesItsLoad)
 {
     KernelDesc k = test::tinyMpKernel();
-    KernelDesc out = applyInterThreadPrefetch(k, SwPrefetchOptions{});
+    KernelDesc out = applyInterThreadPrefetch(k);
     const auto &insts = out.segments[0].insts;
     int pref_idx = -1, load_idx = -1;
     for (std::size_t i = 0; i < insts.size(); ++i) {
@@ -90,9 +87,8 @@ TEST(SwPrefetch, IpPrecedesItsLoad)
 TEST(SwPrefetch, RegisterPrefetchPipelinesLoopLoads)
 {
     KernelDesc k = test::tinyStreamKernel(2, 4, 4, 1);
-    SwPrefetchOptions opts;
-    opts.registerBlocksLost = 1;
-    KernelDesc out = applyRegisterPrefetch(k, opts);
+    k.swpOpts.registerBlocksLost = 1;
+    KernelDesc out = applyRegisterPrefetch(k);
     // Loads become binding one-iteration-ahead prefetches...
     unsigned relaxed = 0;
     for (const auto &seg : out.segments)
@@ -109,9 +105,8 @@ TEST(SwPrefetch, RegisterPrefetchNeverDropsOccupancyToZero)
 {
     KernelDesc k = test::tinyStreamKernel();
     k.maxBlocksPerCore = 1;
-    SwPrefetchOptions opts;
-    opts.registerBlocksLost = 3;
-    KernelDesc out = applyRegisterPrefetch(k, opts);
+    k.swpOpts.registerBlocksLost = 3;
+    KernelDesc out = applyRegisterPrefetch(k);
     EXPECT_EQ(out.maxBlocksPerCore, 1u);
 }
 
@@ -127,8 +122,7 @@ TEST(SwPrefetch, CombinedCoversEachLoadOnce)
     k.segments.push_back(tail);
     k.finalize();
 
-    KernelDesc out = applySwPrefetch(k, SwPrefKind::StrideIP,
-                                     SwPrefetchOptions{});
+    KernelDesc out = applySwPrefetch(k, SwPrefKind::StrideIP);
     // One stride prefetch (loop load) + one IP prefetch (tail load).
     EXPECT_EQ(countOps(out, Opcode::Prefetch), 2u);
 }
@@ -141,15 +135,14 @@ TEST(SwPrefetch, NonPrefetchableLoadsAreSkipped)
             if (inst.op == Opcode::Load)
                 inst.swPrefetchable = false;
     k.finalize();
-    KernelDesc out = applyInterThreadPrefetch(k, SwPrefetchOptions{});
+    KernelDesc out = applyInterThreadPrefetch(k);
     EXPECT_EQ(countOps(out, Opcode::Prefetch), 0u);
 }
 
 TEST(SwPrefetch, NoneVariantIsIdentity)
 {
     KernelDesc k = test::tinyStreamKernel();
-    KernelDesc out = applySwPrefetch(k, SwPrefKind::None,
-                                     SwPrefetchOptions{});
+    KernelDesc out = applySwPrefetch(k, SwPrefKind::None);
     EXPECT_EQ(out.warpInstsPerWarp(), k.warpInstsPerWarp());
     EXPECT_EQ(countOps(out, Opcode::Prefetch), 0u);
 }

@@ -166,7 +166,7 @@ TEST_P(SwVariantProperty, DemandWorkUnchanged)
 {
     SwPrefKind kind = GetParam();
     KernelDesc base = test::tinyStreamKernel(2, 6, 6, 2);
-    KernelDesc variant = applySwPrefetch(base, kind, SwPrefetchOptions{});
+    KernelDesc variant = applySwPrefetch(base, kind);
     // Same demand loads/stores; only prefetches/compute overhead added.
     EXPECT_EQ(variant.memInstsPerWarp(), base.memInstsPerWarp());
     EXPECT_GE(variant.warpInstsPerWarp(), base.warpInstsPerWarp());

@@ -128,8 +128,7 @@ TEST(Core, SwPrefetchInstructionsIssueRequests)
 {
     SimConfig cfg = test::tinyConfig();
     KernelDesc k = test::tinyStreamKernel(2, 8, 12, 1);
-    SwPrefetchOptions opts;
-    RunResult r = simulate(cfg, applyStridePrefetch(k, opts));
+    RunResult r = simulate(cfg, applyStridePrefetch(k));
     EXPECT_GT(r.prefFills, 0u);
     double issued = r.stats.sumMatching("core", ".swPrefIssued");
     EXPECT_GT(issued, 0.0);

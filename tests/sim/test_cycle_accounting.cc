@@ -140,7 +140,7 @@ TEST(CycleAccounting, SwPrefetchTxnsAttributedToThrottleInhibited)
     SimConfig cfg = test::tinyConfig();
     KernelDesc kernel =
         applySwPrefetch(test::tinyStreamKernel(2, 4, 8, 1),
-                        SwPrefKind::Stride, SwPrefetchOptions{});
+                        SwPrefKind::Stride);
     RunResult r = simulate(cfg, kernel);
     expectAccountingInvariants(r, cfg.numCores, "swpref");
     EXPECT_GT(r.stats.get("sim.cycles.throttleInhibited"), 0.0);

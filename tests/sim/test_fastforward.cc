@@ -124,11 +124,11 @@ goldenKernels()
     kernels.emplace_back(
         "swpref_stride",
         applySwPrefetch(test::tinyStreamKernel(2, 4, 6, 1),
-                        SwPrefKind::Stride, SwPrefetchOptions{}));
+                        SwPrefKind::Stride));
     kernels.emplace_back(
         "swpref_mtswp",
         applySwPrefetch(test::tinyStreamKernel(2, 4, 6, 1),
-                        SwPrefKind::StrideIP, SwPrefetchOptions{}));
+                        SwPrefKind::StrideIP));
     kernels.emplace_back("shared_blocks", sharedBlocksKernel());
     return kernels;
 }

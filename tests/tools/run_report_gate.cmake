@@ -7,9 +7,11 @@
 # golden workload, checks the report modes run clean on real inputs,
 # gates the fresh run against the checked-in golden snapshot, and
 # verifies a known-regressed snapshot actually trips the gate. It also
-# checks that bad command lines are refused with one line naming the
-# problem (exit 1 for mtp-sim; exit 2 for mtp-report, whose exit 1
-# means a regression) and that a host profile renders.
+# checks that bad command lines, config values and kernel files are
+# refused with one line naming the problem (exit 1 for mtp-sim; exit 2
+# for mtp-report, whose exit 1 means a regression), that a dumped
+# benchmark simulates like the benchmark, and that a host profile
+# renders.
 
 foreach(var MTP_SIM MTP_REPORT DATA_DIR WORK_DIR)
     if(NOT DEFINED ${var})
@@ -101,9 +103,20 @@ run_refused(1 "--json" ${SIM} --stats ${WORK_DIR}/report_gate_bad.json --json)
 run_refused(1 "--sample-period" ${SIM}
     --timeseries ${WORK_DIR}/report_gate_bad_series.csv)
 
+# 7b. A bad config value and a malformed kernel file (a truncated load
+#     on line 4) exit 1 with one line, naming no source location.
+run_refused(1 "earlyEvictHigh" ${SIM} earlyEvictHigh=nan)
+set(BAD_KERNEL ${WORK_DIR}/report_gate_bad.mtk)
+file(WRITE ${BAD_KERNEL} "kernel bad\ngrid 1 1 1\nsegment 1\n  load 0\nend\n")
+run_refused(1 "report_gate_bad.mtk:4" ${MTP_SIM} --kernel ${BAD_KERNEL} --quiet)
+
 # 8. mtp-report usage errors exit 2, never 1 (a regression).
 run_refused(2 "show" ${MTP_REPORT} show)
 run_refused(2 "--gate" ${MTP_REPORT} diff ${GOLDEN} ${REGRESSED} --gate)
+run_refused(2 "--gate" ${MTP_REPORT} diff ${GOLDEN} ${REGRESSED} --gate nan)
+set(MANIFEST ${DATA_DIR}/golden_campaign_smoke.json)
+run_refused(2 "--tol-rel" ${MTP_REPORT} campaign diff ${MANIFEST} ${MANIFEST}
+    --gate --tol-rel -5)
 
 # 9. A host profile with the watchdog armed, rendered by mtp-report.
 set(HOST_PROFILE ${WORK_DIR}/report_gate.host.jsonl)
@@ -111,3 +124,16 @@ file(REMOVE ${HOST_PROFILE})
 run_step(0 ${SIM} --host-profile ${HOST_PROFILE} --watchdog-sec 120
     numCores=2 dramChannels=2)
 run_step(0 ${MTP_REPORT} host ${HOST_PROFILE})
+
+# 10. README's dump/--kernel pair is the same input as the benchmark:
+#     the file carries sepia's SW-prefetch tuning, so both runs
+#     simulate the same cycles (a 0% gate in both directions).
+set(SEPIA ${WORK_DIR}/report_gate_sepia)
+run_step(0 ${MTP_SIM} --bench sepia --scale 64 --quiet
+    --dump-kernel ${SEPIA}.mtk)
+run_step(0 ${MTP_SIM} --kernel ${SEPIA}.mtk --sw ip --scale 64 --quiet
+    --stats ${SEPIA}_file.json)
+run_step(0 ${MTP_SIM} --bench sepia --sw ip --scale 64 --quiet
+    --stats ${SEPIA}_bench.json)
+run_step(0 ${MTP_REPORT} diff ${SEPIA}_bench.json ${SEPIA}_file.json --gate 0)
+run_step(0 ${MTP_REPORT} diff ${SEPIA}_file.json ${SEPIA}_bench.json --gate 0)

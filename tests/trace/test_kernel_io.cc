@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "driver/fingerprint.hh"
 #include "tests/test_helpers.hh"
 #include "trace/kernel_io.hh"
 #include "workloads/workload.hh"
@@ -17,6 +18,9 @@ expectSameKernel(const KernelDesc &a, const KernelDesc &b)
     EXPECT_EQ(a.warpsPerBlock, b.warpsPerBlock);
     EXPECT_EQ(a.numBlocks, b.numBlocks);
     EXPECT_EQ(a.maxBlocksPerCore, b.maxBlocksPerCore);
+    EXPECT_EQ(a.swpOpts.strideDistance, b.swpOpts.strideDistance);
+    EXPECT_EQ(a.swpOpts.ipDistanceWarps, b.swpOpts.ipDistanceWarps);
+    EXPECT_EQ(a.swpOpts.registerBlocksLost, b.swpOpts.registerBlocksLost);
     ASSERT_EQ(a.segments.size(), b.segments.size());
     for (std::size_t s = 0; s < a.segments.size(); ++s) {
         const auto &sa = a.segments[s];
@@ -38,9 +42,9 @@ expectSameKernel(const KernelDesc &a, const KernelDesc &b)
                           ib.pattern.threadStride);
                 EXPECT_EQ(ia.pattern.iterStride, ib.pattern.iterStride);
                 EXPECT_EQ(ia.pattern.elemBytes, ib.pattern.elemBytes);
-                EXPECT_NEAR(ia.pattern.scatterFrac,
-                            ib.pattern.scatterFrac, 1e-9);
+                EXPECT_EQ(ia.pattern.scatterFrac, ib.pattern.scatterFrac);
                 EXPECT_EQ(ia.pattern.scatterSpan, ib.pattern.scatterSpan);
+                EXPECT_EQ(ia.pattern.scatterSalt, ib.pattern.scatterSalt);
             }
         }
     }
@@ -64,15 +68,51 @@ TEST(KernelIo, RoundTripTinyKernels)
                      roundTrip(test::tinyComputeKernel()));
 }
 
+std::vector<std::string>
+everyBenchmark()
+{
+    std::vector<std::string> names = Suite::memoryIntensiveNames();
+    names.insert(names.end(), Suite::computeNames().begin(),
+                 Suite::computeNames().end());
+    return names;
+}
+
+constexpr SwPrefKind everyVariant[] = {
+    SwPrefKind::None, SwPrefKind::Register, SwPrefKind::Stride,
+    SwPrefKind::IP, SwPrefKind::StrideIP};
+
 TEST(KernelIo, RoundTripEveryBenchmark)
 {
-    for (const auto &name : Suite::memoryIntensiveNames()) {
+    for (const auto &name : everyBenchmark()) {
         Workload w = Suite::get(name, 16);
-        expectSameKernel(w.kernel, roundTrip(w.kernel));
+        for (SwPrefKind kind : everyVariant) {
+            KernelDesc k = w.variant(kind);
+            expectSameKernel(k, roundTrip(k));
+        }
     }
-    for (const auto &name : Suite::computeNames()) {
-        Workload w = Suite::get(name, 16);
-        expectSameKernel(w.kernel, roundTrip(w.kernel));
+    // A fraction that needs all 17 significant digits comes back whole.
+    KernelDesc third = test::tinyStreamKernel();
+    AddressPattern &p = third.segments[0].insts[0].pattern;
+    p.scatterFrac = 1.0 / 3.0;
+    p.scatterSpan = 1 << 20;
+    p.scatterSalt = 7;
+    expectSameKernel(third, roundTrip(third));
+}
+
+/**
+ * A dumped benchmark is the same input as the benchmark: its file
+ * carries the SW-prefetch tuning, so transforming the file gives
+ * exactly the benchmark's variant.
+ */
+TEST(KernelIo, DumpedBenchmarkTransformsLikeTheBenchmark)
+{
+    for (const auto &name : everyBenchmark()) {
+        Workload w = Suite::get(name, 8);
+        KernelDesc dumped = roundTrip(w.kernel);
+        for (SwPrefKind kind : everyVariant)
+            EXPECT_EQ(driver::hashKernel(applySwPrefetch(dumped, kind)),
+                      driver::hashKernel(w.variant(kind)))
+                << name << ' ' << toString(kind);
     }
 }
 
@@ -125,6 +165,17 @@ TEST(KernelIo, ParsesHandWrittenDescription)
     EXPECT_NEAR(chained.pattern.scatterFrac, 0.25, 1e-12);
     EXPECT_TRUE(k.finalized());
     EXPECT_EQ(k.warpInstsPerWarp(), 3u * 7u + 1u);
+    // No swp line: the default tuning.
+    EXPECT_EQ(k.swpOpts.strideDistance, 1u);
+    EXPECT_EQ(k.swpOpts.ipDistanceWarps, 1u);
+    EXPECT_EQ(k.swpOpts.registerBlocksLost, 0u);
+
+    std::stringstream tuned("kernel t\ngrid 1 1 1\nswp 2 8 1\n"
+                            "segment 1\ncomp 1\nend\n");
+    KernelDesc t = readKernel(tuned, "tuned");
+    EXPECT_EQ(t.swpOpts.strideDistance, 2u);
+    EXPECT_EQ(t.swpOpts.ipDistanceWarps, 8u);
+    EXPECT_EQ(t.swpOpts.registerBlocksLost, 1u);
 }
 
 TEST(KernelIo, FlagsRoundTrip)
@@ -142,43 +193,55 @@ TEST(KernelIo, FlagsRoundTrip)
     expectSameKernel(k, roundTrip(k));
 }
 
-/** Malformed lines exit 1 naming file:line; none aborts or wraps. */
+/**
+ * Malformed lines exit 1 with one line naming file:line; none aborts
+ * or wraps.
+ */
 TEST(KernelIo, MalformedLinesExitNamingFileAndLine)
 {
     const std::string head = "kernel p\ngrid 1 1 1\nsegment 1\n";
     for (const char *line :
          {"comp", "load", "comp 65537", "comp 1 256 -1", "comp 1 2",
           "imul 1", "load -1 0x1000 4 0 4", "load 0 0x1000 4 0",
-          "store 0 0x1000 4 0 -4", "pref 0x-1000 4 0 4"}) {
+          "store 0 0x1000 4 0 -4", "pref 0x-1000 4 0 4", "swp 1 2",
+          "swp 1 -1 0"}) {
         std::stringstream ss(head + line + "\nend\n");
         EXPECT_EXIT(readKernel(ss, "k.mtk"), ::testing::ExitedWithCode(1),
-                    "k.mtk:4")
+                    "^fatal: [^\n]*k\\.mtk:4[^\n]*\n$")
             << line;
     }
     std::stringstream ss("kernel p\ngrid 1 1 1\nsegment 4294967296\n");
     EXPECT_EXIT(readKernel(ss, "k.mtk"), ::testing::ExitedWithCode(1),
-                "k.mtk:3");
+                "^fatal: [^\n]*k\\.mtk:3[^\n]*\n$");
 }
 
 /**
- * Grids that would allocate absurd warp slots, and programs without a
- * segment, are user errors: one fatal line from finalize(), shared by
- * kernel files and suite kernels.
+ * Grids that would allocate absurd warp slots, SW-prefetch tuning
+ * outside its ranges, a scatter span with no room for one element and
+ * programs without a segment are user errors: one fatal line from
+ * finalize(), shared by kernel files and suite kernels.
  */
 TEST(KernelIo, GridLimitsAndEmptyProgramsAreFatal)
 {
     const std::string body = "segment 1\ncomp 1\nend\n";
     for (const char *text :
          {"kernel p\ngrid 4294967295 1 1\n", "kernel p\ngrid 33 1 1\n",
-          "kernel p\ngrid 1 1 33\n", "kernel p\ngrid 1 1 0\n"}) {
+          "kernel p\ngrid 1 1 33\n", "kernel p\ngrid 1 1 0\n",
+          "kernel p\ngrid 1 1 1\nswp 0 1 0\n",
+          "kernel p\ngrid 1 1 1\nswp 257 1 0\n",
+          "kernel p\ngrid 1 1 1\nswp 1 1025 0\n",
+          "kernel p\ngrid 1 1 1\nswp 1 4294967295 0\n",
+          "kernel p\ngrid 1 1 1\nswp 1 1 33\n",
+          "kernel p\ngrid 1 1 1\nsegment 1\n"
+          "load 0 0x1000 4 0 128 0.5 64 3\nend\n"}) {
         std::stringstream ss(text + body);
         EXPECT_EXIT(readKernel(ss, "k.mtk"), ::testing::ExitedWithCode(1),
-                    "fatal: kernel 'p' (has|allows) ")
+                    "^fatal: kernel 'p' (has|allows) [^\n]*\n$")
             << text;
     }
     std::stringstream empty("kernel p\ngrid 1 1 1\n");
     EXPECT_EXIT(readKernel(empty, "k.mtk"), ::testing::ExitedWithCode(1),
-                "fatal: kernel 'p' has no segments");
+                "^fatal: kernel 'p' has no segments\n$");
     std::stringstream widest("kernel p\ngrid 32 1 32\n" + body);
     EXPECT_EQ(readKernel(widest, "k.mtk").warpsPerBlock, 32u);
 }

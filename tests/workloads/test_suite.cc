@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "driver/fingerprint.hh"
 #include "workloads/workload.hh"
 
 namespace mtp {
@@ -118,6 +119,58 @@ TEST(Suite, DelinquentLoadMetadataMatchesTableIII)
     EXPECT_EQ(Suite::get("cfd", 64).info.paperDelinquentIp, 36u);
     EXPECT_EQ(Suite::get("linear", 64).info.paperDelinquentIp, 27u);
     EXPECT_EQ(Suite::get("black", 64).info.paperDelinquentStride, 3u);
+}
+
+/**
+ * One digest over every built-in kernel: the kernel hash of every
+ * benchmark and SW-prefetch variant at scales 1, 4, 8 and 64, every
+ * WorkloadInfo field, each kernel's SW-prefetch tuning and the name
+ * lists. The expected value was computed at the commit before the
+ * kernel texts replaced the C++ builders, from the builders' output,
+ * so the texts reproduce them exactly. An edit to a kernel text must
+ * change it deliberately (README.md: "Editing a benchmark").
+ */
+TEST(Suite, DigestPinsEveryBuiltInKernel)
+{
+    driver::Fnv1a h;
+    auto addNames = [&](const std::vector<std::string> &names) {
+        h.add(static_cast<std::uint64_t>(names.size()));
+        for (const std::string &n : names)
+            h.add(n);
+    };
+    addNames(Suite::memoryIntensiveNames());
+    addNames(Suite::computeNames());
+    for (WorkloadType type : {WorkloadType::Stride, WorkloadType::Mp,
+                              WorkloadType::Uncoal, WorkloadType::Compute})
+        addNames(Suite::namesOfType(type));
+    std::vector<std::string> all = Suite::memoryIntensiveNames();
+    all.insert(all.end(), Suite::computeNames().begin(),
+               Suite::computeNames().end());
+    for (const std::string &name : all) {
+        const Workload base = Suite::get(name);
+        const WorkloadInfo &info = base.info;
+        h.add(info.name);
+        h.add(info.suite);
+        h.add(static_cast<int>(info.type));
+        h.add(info.paperBaseCpi);
+        h.add(info.paperPmemCpi);
+        h.add(info.paperHwpCpi);
+        h.add(info.paperWarps);
+        h.add(info.paperBlocks);
+        h.add(info.paperDelinquentStride);
+        h.add(info.paperDelinquentIp);
+        h.add(base.kernel.swpOpts.strideDistance);
+        h.add(base.kernel.swpOpts.ipDistanceWarps);
+        h.add(base.kernel.swpOpts.registerBlocksLost);
+        for (unsigned scale : {1u, 4u, 8u, 64u}) {
+            Workload w = Suite::get(name, scale);
+            h.add(driver::hashKernel(w.kernel));
+            for (SwPrefKind kind : {SwPrefKind::Register, SwPrefKind::Stride,
+                                    SwPrefKind::IP, SwPrefKind::StrideIP})
+                h.add(driver::hashKernel(w.variant(kind)));
+        }
+    }
+    EXPECT_EQ(h.value(), 0x4783724c09216cc3ULL);
 }
 
 TEST(Suite, EveryKernelIsFinalizedAndRunnableShape)

@@ -695,7 +695,7 @@ main(int argc, char **argv)
              addFile, 2},
             {"diff", "<A.json> <B.json>", "regression gate: B's cycles vs. A's",
              {{"--gate", "PCT", "allowed cycle growth in percent (default 0)",
-               [&](const cli::Arg &a) { gatePct = a.number<double>(); }},
+               [&](const cli::Arg &a) { gatePct = a.number(0.0); }},
               jsonlRow},
              addFile, 2, 2},
             {"campaign show", "<BENCH_campaign.json>", "manifest summary", {},
@@ -705,9 +705,9 @@ main(int argc, char **argv)
              {{"--gate", "", "exit 1 on drift",
                [&](const cli::Arg &) { gate = true; }},
               {"--tol-rel", "PCT", "relative tolerance in percent",
-               [&](const cli::Arg &a) { tol.relPct = a.number<double>(); }},
+               [&](const cli::Arg &a) { tol.relPct = a.number(0.0); }},
               {"--tol-abs", "V", "absolute tolerance",
-               [&](const cli::Arg &a) { tol.abs = a.number<double>(); }},
+               [&](const cli::Arg &a) { tol.abs = a.number(0.0); }},
               {"--tol", "PATTERN=PCT",
                "per-metric relative tolerance (repeatable)",
                [&](const cli::Arg &a) {
@@ -717,7 +717,7 @@ main(int argc, char **argv)
                               a.value + "'");
                    cli::Arg pct{a.flag, a.value.substr(eq + 1), a.status};
                    tol.rules.push_back(
-                       {a.value.substr(0, eq), pct.number<double>()});
+                       {a.value.substr(0, eq), pct.number(0.0)});
                }}},
              addFile, 2, 2},
             {"host", "<host.jsonl>", "host-profiler report (DESIGN.md §12)",

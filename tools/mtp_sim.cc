@@ -92,18 +92,10 @@ main(int argc, char **argv)
     {
         obs::HostScope kernelBuild(obs::HostPhase::KernelBuild);
         if (!opts.benchmarks.empty()) {
-            for (const auto &name : bench::selectBenchmarks(opts, {})) {
-                Workload w = Suite::get(name, opts.scaleDiv);
-                KernelDesc kernel = w.kernel;
-                if (sw != SwPrefKind::None)
-                    kernel = applySwPrefetch(kernel, sw, w.info.swpOpts);
-                kernels.push_back(std::move(kernel));
-            }
+            for (const auto &name : bench::selectBenchmarks(opts, {}))
+                kernels.push_back(Suite::get(name, opts.scaleDiv).variant(sw));
         } else {
-            KernelDesc kernel = readKernelFile(kernelFile);
-            if (sw != SwPrefKind::None)
-                kernel = applySwPrefetch(kernel, sw, SwPrefetchOptions{});
-            kernels.push_back(std::move(kernel));
+            kernels.push_back(applySwPrefetch(readKernelFile(kernelFile), sw));
         }
     }
 
