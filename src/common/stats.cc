@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <iomanip>
 #include <ostream>
+#include <string_view>
+#include <utility>
 
 #include "common/json_writer.hh"
 #include "common/log.hh"
@@ -10,38 +12,32 @@
 namespace mtp {
 
 void
-StatSet::add(const std::string &name, double value, const std::string &desc)
+StatSet::add(std::string name, double value, const char *desc)
 {
-    auto it = index_.find(name);
-    if (it != index_.end()) {
-        entries_[it->second].value = value;
-        if (!desc.empty())
-            entries_[it->second].desc = desc;
-        return;
-    }
-    index_.emplace(name, entries_.size());
-    entries_.push_back({name, value, desc});
+    entries_.push_back({std::move(name), value, desc});
 }
 
 bool
 StatSet::has(const std::string &name) const
 {
-    return index_.find(name) != index_.end();
+    return std::any_of(entries_.begin(), entries_.end(),
+                       [&](const Entry &e) { return e.name == name; });
 }
 
 double
 StatSet::get(const std::string &name) const
 {
-    auto it = index_.find(name);
-    MTP_ASSERT(it != index_.end(), "unknown statistic '", name, "'");
-    return entries_[it->second].value;
+    MTP_ASSERT(has(name), "unknown statistic '", name, "'");
+    return getOr(name, 0.0);
 }
 
 double
 StatSet::getOr(const std::string &name, double fallback) const
 {
-    auto it = index_.find(name);
-    return it == index_.end() ? fallback : entries_[it->second].value;
+    for (const auto &e : entries_)
+        if (e.name == name)
+            return e.value;
+    return fallback;
 }
 
 double
@@ -63,10 +59,10 @@ StatSet::sumMatching(const std::string &prefix,
 }
 
 void
-StatSet::merge(const StatSet &other, const std::string &prefix)
+StatSet::append(const StatSet &other)
 {
-    for (const auto &e : other.entries_)
-        add(prefix + e.name, e.value, e.desc);
+    entries_.insert(entries_.end(), other.entries_.begin(),
+                    other.entries_.end());
 }
 
 void
@@ -78,7 +74,7 @@ StatSet::dumpText(std::ostream &os) const
     for (const auto &e : entries_) {
         os << std::left << std::setw(static_cast<int>(width) + 2) << e.name
            << std::setprecision(12) << e.value;
-        if (!e.desc.empty())
+        if (*e.desc)
             os << "  # " << e.desc;
         os << '\n';
     }
@@ -88,9 +84,9 @@ namespace {
 
 /** RFC 4180 field quoting: only when the field needs it. */
 void
-writeCsvField(std::ostream &os, const std::string &field)
+writeCsvField(std::ostream &os, std::string_view field)
 {
-    if (field.find_first_of(",\"\n\r") == std::string::npos) {
+    if (field.find_first_of(",\"\n\r") == std::string_view::npos) {
         os << field;
         return;
     }
@@ -182,7 +178,7 @@ Histogram::bucketCount(unsigned i) const
 
 void
 Histogram::exportTo(StatSet &set, const std::string &name,
-                    const std::string &desc) const
+                    const char *desc) const
 {
     set.add(name + ".count", static_cast<double>(count_), desc);
     set.add(name + ".mean", mean(), desc);

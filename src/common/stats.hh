@@ -2,8 +2,11 @@
  * @file
  * Lightweight statistics package. Simulation modules keep raw counters as
  * plain members for speed and export them into a StatSet snapshot at the
- * end of a run (or at period boundaries). StatSet preserves insertion
- * order, supports hierarchical prefixes, and dumps as aligned text or CSV.
+ * end of a run (or at period boundaries). A StatSet is an append-only
+ * list in export order: names are unique within a set, and descriptions
+ * are static text. Lookups scan the list, because readers make only a
+ * handful per run and the RunCache keeps every run's set, so an index
+ * would cost memory for nothing. It dumps as aligned text, CSV or JSON.
  */
 
 #ifndef MTP_COMMON_STATS_HH
@@ -12,31 +15,29 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace mtp {
 
-/** An ordered collection of named scalar statistics. */
+/** An ordered list of named scalar statistics. */
 class StatSet
 {
   public:
-    /** One named scalar with an optional description. */
+    /** One named scalar and its description. */
     struct Entry
     {
         std::string name;
         double value;
-        std::string desc;
+        const char *desc; //!< static text, not owned
     };
 
     /**
-     * Add (or overwrite) a scalar statistic.
+     * Append a scalar statistic. The caller adds each name once.
      * @param name dotted hierarchical name, e.g. "core0.mrq.merges"
      * @param value the sample value
-     * @param desc one-line human-readable description
+     * @param desc one-line human-readable description; static text
      */
-    void add(const std::string &name, double value,
-             const std::string &desc = "");
+    void add(std::string name, double value, const char *desc = "");
 
     /** @return true iff a statistic with this name exists. */
     bool has(const std::string &name) const;
@@ -58,8 +59,8 @@ class StatSet
     double sumMatching(const std::string &prefix,
                        const std::string &suffix) const;
 
-    /** Copy all entries of @p other, prepending @p prefix to each name. */
-    void merge(const StatSet &other, const std::string &prefix);
+    /** Append all entries of @p other, whose names this set lacks. */
+    void append(const StatSet &other);
 
     /** All entries in insertion order. */
     const std::vector<Entry> &entries() const { return entries_; }
@@ -82,7 +83,6 @@ class StatSet
 
   private:
     std::vector<Entry> entries_;
-    std::unordered_map<std::string, std::size_t> index_;
 };
 
 /**
@@ -129,7 +129,7 @@ class Histogram
      * "<name>.count" etc.
      */
     void exportTo(StatSet &set, const std::string &name,
-                  const std::string &desc = "") const;
+                  const char *desc = "") const;
 
   private:
     double lo_;

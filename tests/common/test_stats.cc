@@ -11,19 +11,25 @@
 namespace mtp {
 namespace {
 
-TEST(StatSet, AddGetOverwrite)
+TEST(StatSet, AddAppendsInExportOrder)
 {
     StatSet s;
-    s.add("a.b", 1.0, "first");
-    s.add("a.c", 2.0);
+    s.add("a.c", 1.0, "first");
+    s.add("a.b", 2.0);
+    s.add("a.a", 3.0, "third");
     EXPECT_TRUE(s.has("a.b"));
     EXPECT_FALSE(s.has("a.d"));
-    EXPECT_DOUBLE_EQ(s.get("a.b"), 1.0);
+    EXPECT_DOUBLE_EQ(s.get("a.c"), 1.0);
+    EXPECT_DOUBLE_EQ(s.getOr("a.a", -1.0), 3.0);
     EXPECT_DOUBLE_EQ(s.getOr("a.d", -1.0), -1.0);
-    s.add("a.b", 5.0); // overwrite keeps position
-    EXPECT_DOUBLE_EQ(s.get("a.b"), 5.0);
-    EXPECT_EQ(s.size(), 2u);
-    EXPECT_EQ(s.entries()[0].name, "a.b");
+    // Entries stay in the order they were added, not sorted by name.
+    ASSERT_EQ(s.size(), 3u);
+    EXPECT_EQ(s.entries()[0].name, "a.c");
+    EXPECT_EQ(s.entries()[1].name, "a.b");
+    EXPECT_EQ(s.entries()[2].name, "a.a");
+    EXPECT_STREQ(s.entries()[0].desc, "first");
+    EXPECT_STREQ(s.entries()[1].desc, "");
+    EXPECT_STREQ(s.entries()[2].desc, "third");
 }
 
 TEST(StatSet, SumMatching)
@@ -36,38 +42,25 @@ TEST(StatSet, SumMatching)
     EXPECT_DOUBLE_EQ(s.sumMatching("mem", ".pref.issued"), 0.0);
 }
 
-TEST(StatSet, Merge)
+TEST(StatSet, Append)
 {
     StatSet a;
-    a.add("x", 1);
+    a.add("x", 1, "ex");
     StatSet b;
-    b.add("y", 2);
-    a.merge(b, "sub.");
-    EXPECT_DOUBLE_EQ(a.get("sub.y"), 2.0);
-    EXPECT_EQ(a.size(), 2u);
-}
-
-TEST(StatSet, MergePrefixCollisionOverwrites)
-{
-    StatSet a;
-    a.add("sub.y", 1.0, "original");
-    StatSet b;
-    b.add("y", 2.0, "merged");
-    a.merge(b, "sub.");
-    // A merge landing on an existing name overwrites in place: same
-    // value semantics as add(), position preserved, no duplicate row.
-    EXPECT_EQ(a.size(), 1u);
-    EXPECT_DOUBLE_EQ(a.get("sub.y"), 2.0);
-    EXPECT_EQ(a.entries()[0].desc, "merged");
-
-    // Merging under an empty prefix collides with the bare name too.
-    StatSet c;
-    c.add("y", 7.0);
-    a.merge(c, "sub.");
-    EXPECT_EQ(a.size(), 1u);
-    EXPECT_DOUBLE_EQ(a.get("sub.y"), 7.0);
-    // An empty merged desc keeps the existing one.
-    EXPECT_EQ(a.entries()[0].desc, "merged");
+    b.add("z", 2, "zed");
+    b.add("y", 3);
+    a.append(b);
+    // other's entries follow this set's, in other's order.
+    ASSERT_EQ(a.size(), 3u);
+    EXPECT_EQ(a.entries()[0].name, "x");
+    EXPECT_EQ(a.entries()[1].name, "z");
+    EXPECT_EQ(a.entries()[2].name, "y");
+    EXPECT_DOUBLE_EQ(a.get("z"), 2.0);
+    EXPECT_DOUBLE_EQ(a.get("y"), 3.0);
+    EXPECT_STREQ(a.entries()[0].desc, "ex");
+    EXPECT_STREQ(a.entries()[1].desc, "zed");
+    EXPECT_STREQ(a.entries()[2].desc, "");
+    EXPECT_EQ(b.size(), 2u);
 }
 
 TEST(StatSet, DumpFormats)

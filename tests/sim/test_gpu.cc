@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "sim/gpu.hh"
 #include "tests/test_helpers.hh"
 
@@ -138,6 +143,48 @@ TEST(Gpu, StatsContainCoreAndMemoryHierarchy)
     EXPECT_GT(hist_count, 0.0);
     EXPECT_LE(hist_count, demand_count);
     EXPECT_GT(r.stats.get("core0.demandLatency.mean"), 0.0);
+}
+
+/**
+ * StatSet appends without looking for the name, so an exporter that
+ * added a name twice would write a second row into every dump. Every
+ * prefetcher with its option, the throttle, MT-SWP and two machine
+ * shapes export each name once, across `stats` and `sched` together
+ * (mtp-sim dumps them as one set).
+ */
+TEST(Gpu, StatNamesAreUnique)
+{
+    KernelDesc k = test::tinyStreamKernel(2, 6, 2, 2);
+    std::vector<std::pair<SimConfig, KernelDesc>> runs;
+    for (HwPrefKind kind :
+         {HwPrefKind::None, HwPrefKind::StrideRPT, HwPrefKind::StridePC,
+          HwPrefKind::Stream, HwPrefKind::GHB, HwPrefKind::MTHWP})
+        for (bool throttle : {false, true})
+            for (unsigned cores : {14u, 20u}) {
+                SimConfig cfg;
+                cfg.numCores = cores;
+                cfg.hwPref = kind;
+                cfg.throttleEnable = throttle;
+                cfg.ghbFeedback = kind == HwPrefKind::GHB;
+                cfg.stridePcLateThrottle = kind == HwPrefKind::StridePC;
+                runs.emplace_back(cfg, k);
+            }
+    SimConfig swp;
+    swp.throttleEnable = true;
+    runs.emplace_back(swp, applySwPrefetch(k, SwPrefKind::StrideIP));
+
+    for (const auto &[cfg, kernel] : runs) {
+        RunResult r = simulate(cfg, kernel);
+        ASSERT_GT(r.stats.size(), 0u);
+        std::set<std::string> seen;
+        for (const StatSet *set : {&r.stats, &r.sched})
+            for (const auto &e : set->entries())
+                EXPECT_TRUE(seen.insert(e.name).second)
+                    << e.name << " repeated: " << kernel.name << " hw="
+                    << toString(cfg.hwPref)
+                    << " throttle=" << cfg.throttleEnable
+                    << " cores=" << cfg.numCores;
+    }
 }
 
 TEST(RunResult, DerivedMetrics)

@@ -43,10 +43,50 @@ function(only_refused list named)
 endfunction()
 
 # 1. The reduced campaign: every deterministic figure at 1/64 scale on
-#    a class-covering benchmark subset. --skip-volatile keeps the
-#    wall-clock harnesses out of a shared CI machine's test run.
-run_step(0 ${MTP_CAMPAIGN} --smoke --quiet --skip-volatile
-    --out ${FRESH})
+#    a class-covering benchmark subset. A shared CI machine cannot time
+#    the two wall-clock harnesses, so /bin/sh stubs stand in for them,
+#    each writing a one-line record to its --out. Their directory's
+#    name is a shell command: the campaign starts the harnesses without
+#    a shell, so the command never runs and both records are embedded.
+set(SANDBOX "${WORK_DIR}/campaign_gate_sandbox")
+set(STUBS "${SANDBOX}/stubs$(touch PWNED)")
+file(REMOVE_RECURSE "${SANDBOX}")
+foreach(harness bench_simrate bench_obs_overhead)
+    file(WRITE "${STUBS}/${harness}" "#!/bin/sh
+while [ $# -gt 1 ]; do
+    [ \"$1\" = --out ] && out=$2
+    shift
+done
+echo '{\"stub\": \"${harness}\"}' > \"$out\"
+")
+    file(CHMOD "${STUBS}/${harness}" PERMISSIONS OWNER_READ OWNER_WRITE
+        OWNER_EXECUTE)
+endforeach()
+execute_process(COMMAND ${MTP_CAMPAIGN} --smoke --quiet
+    --bench-dir "${STUBS}" --out ${FRESH}
+    WORKING_DIRECTORY "${SANDBOX}" RESULT_VARIABLE status)
+if(NOT status EQUAL 0)
+    message(FATAL_ERROR "the smoke campaign exited ${status}")
+endif()
+if(EXISTS "${SANDBOX}/PWNED")
+    message(FATAL_ERROR "a shell ran the --bench-dir path")
+endif()
+file(READ ${FRESH} manifest)
+string(JSON figures LENGTH "${manifest}" figures)
+math(EXPR last "${figures} - 1")
+set(embedded "")
+foreach(i RANGE ${last})
+    string(JSON volatile GET "${manifest}" figures ${i} volatile)
+    if(volatile)
+        string(JSON name GET "${manifest}" figures ${i} name)
+        string(JSON stub GET "${manifest}" figures ${i} raw stub)
+        list(APPEND embedded "${name}:${stub}")
+    endif()
+endforeach()
+if(NOT embedded STREQUAL
+        "bench_simrate:bench_simrate;bench_obs_overhead:bench_obs_overhead")
+    message(FATAL_ERROR "volatile figures embedded: '${embedded}'")
+endif()
 
 # 2. The manifest summary must render from real output.
 run_step(0 ${MTP_REPORT} campaign show ${FRESH})

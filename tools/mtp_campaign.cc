@@ -31,15 +31,17 @@
 
 #include <atomic>
 #include <chrono>
+#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
 #include <fstream>
-#include <future>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <spawn.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "bench/campaign.hh"
@@ -134,6 +136,7 @@ class Ticker
  * Run one self-timing harness as a subprocess and embed its JSON
  * artifact. Returns false (with a warning) when the binary is missing
  * or fails — an absent perf harness must not sink the whole campaign.
+ * The child is started without a shell, so no path reaches one.
  */
 bool
 runVolatile(const std::string &benchDir, const std::string &binary,
@@ -149,29 +152,37 @@ runVolatile(const std::string &benchDir, const std::string &binary,
                      binary.c_str(), bin.c_str());
         return false;
     }
-    std::string cmd = "\"" + bin + "\" --quiet --out \"" + artifact +
-                      "\"";
+    std::vector<std::string> args = {bin, "--quiet", "--out", artifact};
     if (smoke)
-        cmd += " --smoke";
+        args.push_back("--smoke");
     else
-        cmd += " --scale " + std::to_string(opts.scaleDiv);
+        args.insert(args.end(), {"--scale", std::to_string(opts.scaleDiv)});
+    std::vector<char *> argvp;
+    for (std::string &a : args)
+        argvp.push_back(a.data());
+    argvp.push_back(nullptr);
 
     auto t0 = std::chrono::steady_clock::now();
+    pid_t pid = 0;
+    int status = 0;
+    int err = ::posix_spawn(&pid, bin.c_str(), nullptr, nullptr,
+                            argvp.data(), environ);
     // The child's beats are its own; beat while waiting so a watchdog
     // armed for the figures does not take a live harness for a hang.
-    std::future<int> child = std::async(std::launch::async, [&cmd] {
-        return std::system(cmd.c_str());
-    });
-    while (child.wait_for(std::chrono::milliseconds(100)) !=
-           std::future_status::ready)
+    pid_t waited = 0;
+    while (err == 0 && (waited = ::waitpid(pid, &status, WNOHANG)) == 0) {
         obs::FlightRecorder::beat();
-    int rc = child.get();
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    if (waited < 0)
+        err = errno;
     double wall = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - t0)
                       .count();
-    if (rc != 0) {
+    if (err != 0 || !WIFEXITED(status) || WEXITSTATUS(status) != 0) {
         std::fprintf(stderr, "mtp-campaign: %s failed (%s)\n",
-                     binary.c_str(), cmd.c_str());
+                     bin.c_str(),
+                     err != 0 ? std::strerror(err) : "did not exit 0");
         return false;
     }
 

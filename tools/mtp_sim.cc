@@ -196,8 +196,8 @@ main(int argc, char **argv)
             // (sim.sched.* and host.*, kept separate in RunResult so
             // bit-identity comparisons never see them).
             StatSet full = r.stats;
-            full.merge(r.sched, "");
-            full.merge(runner.hostCounters(), "");
+            full.append(r.sched);
+            full.append(runner.hostCounters());
             if (statsFile.ends_with(".json"))
                 full.dumpJson(out);
             else if (statsFile.ends_with(".csv"))
